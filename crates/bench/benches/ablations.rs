@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md.
+//! Ablation benches for the workspace's design choices.
 //!
 //! Besides timing, each ablation prints (once, at setup) the measured error of
 //! every variant on a fixed input, so `cargo bench` output doubles as a small

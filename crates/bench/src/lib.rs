@@ -2,8 +2,8 @@
 //!
 //! The benches regenerate every table and figure of the paper on a reduced
 //! configuration (so `cargo bench` completes in minutes) and additionally
-//! time the individual mechanisms and the design-choice ablations listed in
-//! DESIGN.md. The figure *values* are produced by the `osdp-experiments`
+//! time the individual mechanisms and the design-choice ablations of
+//! `benches/ablations.rs`. The figure *values* are produced by the `osdp-experiments`
 //! binaries; the benches exist to (a) exercise exactly the same code paths
 //! under measurement and (b) track performance regressions of the mechanisms.
 

@@ -242,6 +242,12 @@ impl FrameColumn {
         &self.values
     }
 
+    /// The presence mask (bit set ⇔ the row has the field), or `None` when
+    /// every row has it.
+    pub fn presence(&self) -> Option<&PolicyMask> {
+        self.present.as_ref()
+    }
+
     /// Whether the field is present in `row`.
     pub fn is_present(&self, row: usize) -> bool {
         self.present.as_ref().is_none_or(|p| p.get(row))

@@ -14,8 +14,9 @@
 //! * [`RowBackend`] — the reference row-at-a-time path over any
 //!   [`Database<R>`]. It evaluates the boxed bin closure and (on first use
 //!   per policy) the virtual policy per record, and caches the resulting
-//!   sensitive/non-sensitive partition per `(policy label, policy identity)`
-//!   so repeated releases under one policy never re-classify.
+//!   sensitive/non-sensitive partition per `(policy label, policy identity,
+//!   epoch version)` so repeated releases under one policy never
+//!   re-classify.
 //! * [`ColumnarBackend`] — the vectorized path over a
 //!   [`ColumnarFrame`]: compiled policies
 //!   ([`osdp_core::frame::CompiledPolicy`]) and compiled
@@ -26,18 +27,47 @@
 //!   rows (when constructed via [`ColumnarBackend::from_database`]), so the
 //!   backend never answers differently from [`RowBackend`] — only faster.
 //!
+//! ## Value counts
+//!
+//! A histogram over a low-cardinality column does not need its rows: it
+//! needs how many rows hold each value, and how many of those the policy
+//! clears. [`ColumnarBackend`] caches exactly that inside each partition
+//! entry — for one column, `full[v − min]`, `non_sensitive[v − min]` and the
+//! count of rows missing the field — built in one pass the first time the
+//! column is scanned under that partition. Later `IntLinear` scans of an
+//! `Int` column and `Categorical` scans of a `Categorical` column fold the
+//! counts into bins with [`BinSpec::bin_of_value`] (values it maps to no bin
+//! or to a bin `≥ bins` are dropped, as in the row loop): O(max − min) per
+//! scan instead of O(rows). Two conditions gate the path, and scans that
+//! miss either run the row loop:
+//!
+//! * **Unweighted frame.** Every count is then a small integer, so folding
+//!   them in a different order than the row loop adds them gives the same
+//!   `f64` sums, bit for bit. Weighted frames (pre-aggregated pairs) carry
+//!   fractional masses whose sums depend on the order.
+//! * **Dense column:** `max − min + 1 ≤ rows / 64`, at most one value slot
+//!   per word of the mask. The two count vectors then take at most twice the
+//!   memory of the mask they sit beside; sparse columns (ids, bit patterns)
+//!   would cost more than they save.
+//!
+//! The counts share their partition's lifetime: the same
+//! `(policy label, policy identity, epoch version)` key, the same
+//! cache cap, and the same [`Backend::invalidate_partitions`] on an epoch
+//! transition, so no scan can read counts built under an earlier mask.
+//!
 //! The two backends are **bit-for-bit equivalent** on any record database:
 //! same full histogram, same non-sensitive histogram, same dropped count
-//! (property-tested in `tests/backend_parity.rs`).
+//! (property-tested in `tests/backend_parity.rs`, including frames on both
+//! sides of the density bound).
 
 use osdp_core::error::{OsdpError, Result};
-use osdp_core::frame::{BinSpec, ColumnarFrame, PolicyMask, DROPPED_BIN};
+use osdp_core::frame::{BinSpec, Column, ColumnarFrame, FrameColumn, PolicyMask, DROPPED_BIN};
 use osdp_core::policy::Policy;
-use osdp_core::{Database, Histogram, Record};
+use osdp_core::{Database, Histogram, Record, Value};
 use osdp_mechanisms::HistogramTask;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The result of one backend scan: the paper's `(x, x_ns)` pair plus the
 /// record mass the query dropped (bin closure returned `None` or an
@@ -143,13 +173,22 @@ pub trait Backend<R = Record>: Send + Sync {
     fn invalidate_partitions(&self) {}
 }
 
+/// One cached policy partition: the non-sensitive mask plus, on a columnar
+/// backend, one lazily built [`ValueCounts`] slot per frame column. The
+/// entry **retains the policy `Arc`** whose address keyed it: the allocation
+/// can never be reused while the entry lives, so an address collision always
+/// means the same policy object (no ABA through dropped policies).
+struct Partition<R> {
+    policy: Arc<dyn Policy<R>>,
+    mask: PolicyMask,
+    /// Indexed like the frame's columns (empty on row backends). `None` once
+    /// built means the column does not qualify for the value-count path.
+    counts: Box<[OnceLock<Option<ValueCounts>>]>,
+}
+
 /// Shared partition cache: `(policy label, policy identity, epoch version) →
-/// non-sensitive mask`, so repeated releases under one policy skip
-/// re-classification. Each entry **retains the policy `Arc`** whose address
-/// keyed it: the allocation can never be reused while the entry lives, so an
-/// address collision always means the same policy object (no ABA through
-/// dropped policies).
-type PartitionMap<R> = HashMap<(String, usize, u64), (Arc<dyn Policy<R>>, Arc<PolicyMask>)>;
+/// partition`, so repeated releases under one policy skip re-classification.
+type PartitionMap<R> = HashMap<(String, usize, u64), Arc<Partition<R>>>;
 type PartitionCache<R> = Mutex<PartitionMap<R>>;
 
 /// Cap on cached partitions per backend. Sessions bind a handful of policies
@@ -159,34 +198,111 @@ type PartitionCache<R> = Mutex<PartitionMap<R>>;
 /// cleared (it is a pure cache: results are unaffected, only recomputed).
 const PARTITION_CACHE_CAP: usize = 64;
 
-/// Inserts an entry, clearing the cache first when it is full.
-fn insert_partition<R>(
-    cache: &mut PartitionMap<R>,
-    key: (String, usize, u64),
-    policy: &Arc<dyn Policy<R>>,
-    mask: &Arc<PolicyMask>,
-) {
-    if cache.len() >= PARTITION_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(key, (Arc::clone(policy), Arc::clone(mask)));
-}
-
-/// Looks up the plan's partition in `cache`, computing it with `classify` on
-/// a miss.
+/// Looks up the plan's partition in `cache`, building it with `classify` on
+/// a miss (a failed classification caches nothing). Each partition gets
+/// `columns` value-count slots.
 fn cached_partition<R>(
     cache: &PartitionCache<R>,
     plan: &QueryPlan<R>,
-    classify: impl FnOnce() -> PolicyMask,
-) -> Arc<PolicyMask> {
+    columns: usize,
+    classify: impl FnOnce() -> Result<PolicyMask>,
+) -> Result<Arc<Partition<R>>> {
     let key = plan.partition_key();
-    if let Some((policy, mask)) = cache.lock().get(&key) {
-        debug_assert!(Arc::ptr_eq(policy, &plan.policy), "pinned allocation cannot be reused");
-        return Arc::clone(mask);
+    if let Some(partition) = cache.lock().get(&key) {
+        debug_assert!(
+            Arc::ptr_eq(&partition.policy, &plan.policy),
+            "pinned allocation cannot be reused"
+        );
+        return Ok(Arc::clone(partition));
     }
-    let mask = Arc::new(classify());
-    insert_partition(&mut cache.lock(), key, &plan.policy, &mask);
-    mask
+    let partition = Arc::new(Partition {
+        policy: Arc::clone(&plan.policy),
+        mask: classify()?,
+        counts: (0..columns).map(|_| OnceLock::new()).collect(),
+    });
+    let mut cache = cache.lock();
+    if cache.len() >= PARTITION_CACHE_CAP {
+        cache.clear();
+    }
+    cache.insert(key, Arc::clone(&partition));
+    Ok(partition)
+}
+
+/// Per-value row counts of one integer or categorical column under one
+/// partition mask: `full[k]` counts the rows holding value `min + k`,
+/// `non_sensitive[k]` the mask-set (non-sensitive) ones among them, and
+/// `absent` the rows missing the field. Built only for **dense** columns —
+/// at most one value slot per 64 rows, i.e. per mask word — so the counts
+/// never outweigh twice the mask they sit beside.
+struct ValueCounts {
+    min: i64,
+    full: Vec<u64>,
+    non_sensitive: Vec<u64>,
+    absent: u64,
+}
+
+impl ValueCounts {
+    /// Counts `column` under `mask`, or `None` when the column is not an
+    /// `Int`/`Categorical` column with at least one present value in a range
+    /// of at most `rows / 64` values.
+    fn build(column: &FrameColumn, mask: &PolicyMask) -> Option<Self> {
+        match column.values() {
+            Column::Int(values) => Self::count(values, column.presence(), mask),
+            Column::Categorical(values) => Self::count(values, column.presence(), mask),
+            _ => None,
+        }
+    }
+
+    fn count<T: Copy + Into<i64>>(
+        values: &[T],
+        presence: Option<&PolicyMask>,
+        mask: &PolicyMask,
+    ) -> Option<Self> {
+        let present = || {
+            values
+                .iter()
+                .enumerate()
+                .filter(move |&(i, _)| presence.is_none_or(|p| p.get(i)))
+                .map(|(i, &v)| (i, v.into()))
+        };
+        let (min, max) = present().fold(None, |acc: Option<(i64, i64)>, (_, v)| match acc {
+            None => Some((v, v)),
+            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
+        })?;
+        let slots = usize::try_from(max.checked_sub(min)?).ok()?.checked_add(1)?;
+        if slots > values.len() / 64 {
+            return None;
+        }
+        let mut full = vec![0u64; slots];
+        let mut non_sensitive = vec![0u64; slots];
+        let mut seen = 0u64;
+        for (i, v) in present() {
+            let k = (v - min) as usize;
+            full[k] += 1;
+            non_sensitive[k] += (mask.words()[i / 64] >> (i % 64)) & 1;
+            seen += 1;
+        }
+        Some(Self { min, full, non_sensitive, absent: values.len() as u64 - seen })
+    }
+
+    /// Folds the counts into `bins` bins: value `v` lands in `bin_of(v)` when
+    /// that is `Some(bin)` with `bin < bins`, and in `dropped` otherwise —
+    /// the row loop's exact rule, applied once per value instead of per row.
+    fn fold(&self, bins: usize, bin_of: impl Fn(i64) -> Option<usize>) -> HistogramPair {
+        let mut full = Histogram::zeros(bins);
+        let mut non_sensitive = Histogram::zeros(bins);
+        let mut dropped = self.absent as f64;
+        for (k, (&all, &ns)) in self.full.iter().zip(&self.non_sensitive).enumerate() {
+            match bin_of(self.min + k as i64) {
+                Some(bin) if bin < bins => {
+                    full.increment(bin, all as f64);
+                    non_sensitive.increment(bin, ns as f64);
+                }
+                _ => dropped += all as f64,
+            }
+        }
+        HistogramPair { full, non_sensitive, dropped }
+    }
 }
 
 /// The shared row-at-a-time scan loop: bins every record through the boxed
@@ -247,9 +363,10 @@ impl<R: Send + Sync> Backend<R> for RowBackend<R> {
     }
 
     fn scan(&self, plan: &QueryPlan<R>) -> Result<HistogramPair> {
-        let mask =
-            cached_partition(&self.partitions, plan, || self.db.policy_mask(plan.policy.as_ref()));
-        Ok(scan_rows(&self.db, &mask, plan))
+        let partition = cached_partition(&self.partitions, plan, 0, || {
+            Ok(self.db.policy_mask(plan.policy.as_ref()))
+        })?;
+        Ok(scan_rows(&self.db, &partition.mask, plan))
     }
 
     fn database(&self) -> Option<&Database<R>> {
@@ -270,6 +387,11 @@ impl<R: Send + Sync> Backend<R> for RowBackend<R> {
 /// Constructed from a record database (retaining the rows, so opaque
 /// closures still work) or directly from a frame (loaders that never
 /// materialise records; compiled policies and bin specs only).
+///
+/// Compiled bin specs over dense columns of unweighted frames are answered
+/// from per-value counts cached in the policy partition (see the
+/// [module docs](self#value-counts)); other compiled specs run a row loop
+/// over [`BinSpec::assign`].
 pub struct ColumnarBackend {
     frame: ColumnarFrame,
     rows: Option<Database<Record>>,
@@ -297,28 +419,50 @@ impl ColumnarBackend {
         &self.frame
     }
 
-    fn partition_for(&self, plan: &QueryPlan<Record>) -> Result<Arc<PolicyMask>> {
-        // Not `cached_partition`: the miss path is fallible (a frame-only
-        // backend refuses opaque policies), so the closure shape differs.
-        let key = plan.partition_key();
-        if let Some((policy, mask)) = self.partitions.lock().get(&key) {
-            debug_assert!(Arc::ptr_eq(policy, &plan.policy), "pinned allocation cannot be reused");
-            return Ok(Arc::clone(mask));
+    fn partition_for(&self, plan: &QueryPlan<Record>) -> Result<Arc<Partition<Record>>> {
+        cached_partition(&self.partitions, plan, self.frame.columns().len(), || {
+            if let Some(compiled) = plan.policy.compiled() {
+                Ok(compiled.evaluate(&self.frame))
+            } else if let Some(rows) = &self.rows {
+                Ok(rows.policy_mask(plan.policy.as_ref()))
+            } else {
+                Err(OsdpError::InvalidInput(format!(
+                    "policy {:?} has no vectorized compilation and this frame-backed \
+                     columnar backend retains no rows to fall back on",
+                    plan.policy_label
+                )))
+            }
+        })
+    }
+
+    /// Answers `spec` from the partition's value counts of the grouped
+    /// column, building them on the column's first scan under this
+    /// partition. `None` when the scan must take the row loop instead: a
+    /// weighted frame, a spec/column pair other than `IntLinear`/`Int` or
+    /// `Categorical`/`Categorical`, a bin count the row loop rejects, or a
+    /// column too sparse for counts.
+    fn value_count_scan(
+        &self,
+        partition: &Partition<Record>,
+        spec: &BinSpec,
+        bins: usize,
+    ) -> Option<HistogramPair> {
+        if self.frame.weights().is_some() || bins >= DROPPED_BIN as usize {
+            return None;
         }
-        let mask = if let Some(compiled) = plan.policy.compiled() {
-            compiled.evaluate(&self.frame)
-        } else if let Some(rows) = &self.rows {
-            rows.policy_mask(plan.policy.as_ref())
-        } else {
-            return Err(OsdpError::InvalidInput(format!(
-                "policy {:?} has no vectorized compilation and this frame-backed \
-                 columnar backend retains no rows to fall back on",
-                plan.policy_label
-            )));
+        let index = self.frame.columns().iter().position(|c| c.name() == spec.field())?;
+        let column = &self.frame.columns()[index];
+        let value_of: fn(i64) -> Value = match (spec, column.values()) {
+            (BinSpec::IntLinear { .. }, Column::Int(_)) => Value::Int,
+            (BinSpec::Categorical { .. }, Column::Categorical(_)) => {
+                |v| Value::Categorical(v as u32)
+            }
+            _ => return None,
         };
-        let mask = Arc::new(mask);
-        insert_partition(&mut self.partitions.lock(), key, &plan.policy, &mask);
-        Ok(mask)
+        let counts = partition.counts[index]
+            .get_or_init(|| ValueCounts::build(column, &partition.mask))
+            .as_ref()?;
+        Some(counts.fold(bins, |v| spec.bin_of_value(&value_of(v))))
     }
 }
 
@@ -343,10 +487,14 @@ impl Backend<Record> for ColumnarBackend {
     }
 
     fn scan(&self, plan: &QueryPlan<Record>) -> Result<HistogramPair> {
-        let mask = self.partition_for(plan)?;
+        let partition = self.partition_for(plan)?;
+        let mask = &partition.mask;
         if let Some(spec) = &plan.bin_spec {
-            // Vectorized binning: one pass over the grouped column, then one
-            // pass over the assignment — no per-record closure calls at all.
+            if let Some(pair) = self.value_count_scan(&partition, spec, plan.bins) {
+                return Ok(pair);
+            }
+            // The row loop: one pass over the grouped column, then one pass
+            // over the assignment — no per-record closure calls at all.
             let assignment = spec.assign(&self.frame, plan.bins)?;
             let mut full = Histogram::zeros(plan.bins);
             let mut non_sensitive = Histogram::zeros(plan.bins);
@@ -368,7 +516,7 @@ impl Backend<Record> for ColumnarBackend {
             // exact loop RowBackend runs (weights are only ever attached to
             // loader-built frames, which always carry compiled bin specs).
             debug_assert!(self.frame.weights().is_none());
-            Ok(scan_rows(rows, &mask, plan))
+            Ok(scan_rows(rows, mask, plan))
         } else {
             Err(OsdpError::InvalidInput(format!(
                 "query {:?} has no compiled bin spec and this frame-backed columnar \
@@ -555,6 +703,81 @@ mod tests {
         backend.invalidate_partitions();
         assert_eq!(backend.partitions.lock().len(), 0);
         assert_eq!(backend.scan(&v1).unwrap(), a, "re-derived after invalidation");
+    }
+
+    /// The built value counts of `backend`'s only cached partition, per
+    /// column slot.
+    fn built_counts(backend: &ColumnarBackend) -> Vec<bool> {
+        let cache = backend.partitions.lock();
+        assert_eq!(cache.len(), 1);
+        let partition = cache.values().next().unwrap();
+        partition.counts.iter().map(|slot| matches!(slot.get(), Some(Some(_)))).collect()
+    }
+
+    #[test]
+    fn value_counts_take_dense_columns_and_skip_sparse_or_weighted_ones() {
+        // 60 distinct ages need 60 × 64 rows to pass the density guard.
+        let dense = ages_db(60 * 64);
+        let col = ColumnarBackend::from_database(dense.clone());
+        let plan = minors_plan(minors_policy(), true);
+        assert_eq!(col.scan(&plan).unwrap(), RowBackend::new(dense).scan(&plan).unwrap());
+        assert_eq!(built_counts(&col), [true]);
+        // One row short of the bound: the scan takes the row loop.
+        let sparse = ColumnarBackend::from_database(ages_db(60 * 64 - 1));
+        sparse.scan(&plan).unwrap();
+        assert_eq!(built_counts(&sparse), [false]);
+        // Weighted frames never build counts.
+        let frame = ColumnarFrame::builder(64)
+            .column_int("age", vec![3; 64])
+            .weights(vec![0.5; 64])
+            .build()
+            .unwrap();
+        let weighted = ColumnarBackend::from_frame(frame);
+        assert_eq!(weighted.scan(&plan).unwrap().full.counts()[0], 32.0);
+        let cache = weighted.partitions.lock();
+        assert!(cache.values().all(|p| p.counts.iter().all(|slot| slot.get().is_none())));
+    }
+
+    #[test]
+    fn value_counts_are_rebuilt_after_a_tighten_epoch() {
+        use crate::{SessionBuilder, SessionQuery};
+        use osdp_core::policy::EpochDirection;
+        let db = ages_db(60 * 64);
+        // The query `minors_plan` compiles.
+        let query = SessionQuery::count_by_int_linear("decades", "age", 0, 10, 6);
+        let minors = minors_policy();
+        let adults: Arc<dyn Policy<Record>> = Arc::new(AttributePolicy::int_at_most("age", 40));
+        let reference = |policy: &Arc<dyn Policy<Record>>| {
+            RowBackend::new(db.clone()).scan(&minors_plan(Arc::clone(policy), true)).unwrap()
+        };
+        // Through a session: the Tighten transition must reach the new mask.
+        let session = SessionBuilder::new(db.clone())
+            .columnar()
+            .policy_arc(Arc::clone(&minors), "minors")
+            .build()
+            .unwrap();
+        let before = session.scan(&query).unwrap();
+        assert_eq!(before, reference(&minors));
+        session.set_policy_epoch(Arc::clone(&adults), "adults", EpochDirection::Tighten).unwrap();
+        let after = session.scan(&query).unwrap();
+        assert_eq!(after, reference(&adults));
+        assert_ne!(after.non_sensitive, before.non_sensitive);
+
+        // On the backend: invalidation drops the counts with their partition,
+        // even when the next plan reuses the old policy object and version.
+        let backend = ColumnarBackend::from_database(db);
+        let plan = minors_plan(Arc::clone(&minors), true);
+        let first = backend.scan(&plan).unwrap();
+        assert_eq!(built_counts(&backend), [true]);
+        backend.invalidate_partitions();
+        assert!(backend.partitions.lock().is_empty());
+        let mut tightened = minors_plan(adults, true);
+        tightened.policy_version = 1;
+        let second = backend.scan(&tightened).unwrap();
+        assert_eq!(built_counts(&backend), [true], "rebuilt for the new mask");
+        assert_ne!(second.non_sensitive, first.non_sensitive);
+        backend.invalidate_partitions();
+        assert_eq!(backend.scan(&plan).unwrap(), first);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! * a **task cache** keyed by query/policy/backend identity: repeated
 //!   releases of one question run one backend scan, and
 //!   [`OsdpSession::release_pool`] amortizes that single scan plus a single
-//!   grant-lock debit across a whole mechanism pool;
+//!   compare-and-swap debit across a whole mechanism pool;
 //! * a serde-friendly **mechanism registry** ([`MechanismSpec`]): pools are
 //!   constructed by name from experiment configurations instead of being
 //!   hard-wired at each call site.
@@ -101,9 +101,10 @@
 //! Pool runners (the regret analysis of Section 6.3.3.2) release the same
 //! query through every mechanism of a pool. [`OsdpSession::release_pool`]
 //! batches the whole pool: **one** backend scan (served by the task cache),
-//! **one** grant-lock critical section debiting every mechanism
-//! all-or-nothing, and one rayon fan-out over every `(mechanism, trial)`
-//! pair. Accounting and estimates are identical — bitwise, for the
+//! **one** compare-and-swap on the budget
+//! ([`BudgetAccountant::spend_batch`](osdp_core::BudgetAccountant::spend_batch))
+//! debiting every mechanism all-or-nothing, and one rayon fan-out over
+//! every `(mechanism, trial)` pair. Accounting and estimates are identical — bitwise, for the
 //! estimates — to calling [`OsdpSession::release_trials`] once per mechanism
 //! in pool order:
 //!

@@ -99,8 +99,8 @@ pub fn run(config: &ExperimentConfig) -> RegretOutputs {
                         continue;
                     };
                     let query = pair_query(full.len());
-                    // One pool batch: a single backend scan and grant-lock
-                    // critical section amortized across all 6 mechanisms,
+                    // One pool batch: a single backend scan and budget
+                    // compare-and-swap amortized across all 6 mechanisms,
                     // with per-mechanism trial streams identical to the old
                     // sequential release_trials loop.
                     let pool_refs: Vec<&dyn HistogramMechanism> =

@@ -1,8 +1,8 @@
 //! The two-sided geometric distribution: the discrete analogue of Laplace.
 //!
 //! Not used directly by the paper's algorithms, but provided as the natural
-//! integer-valued alternative for count queries (an "extensions" item in
-//! DESIGN.md) and exercised by the ablation benches.
+//! integer-valued alternative for count queries, and exercised by the
+//! ablation benches.
 
 use osdp_core::error::{OsdpError, Result};
 use rand::distributions::Distribution;

@@ -7,6 +7,11 @@
 //! identical** to `RowBackend`'s — full histogram, non-sensitive
 //! sub-histogram and dropped mass — and the per-policy partition cache must
 //! never change results across repeated releases.
+//!
+//! The columnar backend answers unweighted scans of dense `Int` and
+//! `Categorical` columns (at most one distinct value slot per 64 rows) from
+//! cached per-value counts instead of its row loop; the last property builds
+//! frames at and one slot past that bound so both sides of it are covered.
 
 use osdp::prelude::*;
 use osdp_engine::QueryPlan;
@@ -138,5 +143,57 @@ proptest! {
         }
         prop_assert_eq!(&row.scan(&plan1).unwrap(), &first1);
         prop_assert_eq!(&row.scan(&plan2).unwrap(), &first2);
+    }
+
+    #[test]
+    fn value_count_scans_match_row_scans_at_the_density_bound(
+        slots in 1usize..=12,
+        extra in 0usize..64,
+        over_bound in (0u8..4).prop_map(|b| b == 0),
+        v_min in -50i64..50,
+        c_min in 0u32..8,
+        cells in prop::collection::vec(((0usize..12), (0usize..12), (0u64..2).prop_map(|b| b == 1), (0u8..8)), 13 * 64),
+        origin_shift in -17i64..17,
+        width in 1i64..=5,
+        bins in 1usize..14,
+        threshold_shift in -2i64..14,
+    ) {
+        // `slots` distinct values per column need `64 × slots` rows; one row
+        // fewer puts the column one slot past the bound (row loop).
+        let len = if over_bound { 64 * slots - 1 } else { 64 * slots + extra };
+        let db: Database<Record> = cells[..len]
+            .iter()
+            .enumerate()
+            .map(|(i, &(v, c, opt, missing))| {
+                // Rows 0 and 1 pin both ends of each column's value range.
+                let (v, c, missing) = match i {
+                    0 => (0, 0, 0),
+                    1 => (slots - 1, slots - 1, 0),
+                    _ => (v % slots, c % slots, missing),
+                };
+                let mut b = Record::builder();
+                // `missing` bits 0/1/2 knock out the v/c/opt fields.
+                if missing & 1 == 0 {
+                    b = b.field("v", Value::Int(v_min + v as i64));
+                }
+                if missing & 2 == 0 {
+                    b = b.field("c", Value::Categorical(c_min + c as u32));
+                }
+                if missing & 4 == 0 {
+                    b = b.field("opt", Value::Bool(opt));
+                }
+                b.build()
+            })
+            .collect();
+        // Origins from well below to well above the value range; `bins`
+        // often truncates it.
+        let query =
+            SessionQuery::count_by_int_linear("by-v", "v", v_min + origin_shift, width, bins);
+        let threshold: Arc<dyn Policy<Record>> =
+            Arc::new(AttributePolicy::int_at_most("v", v_min + threshold_shift));
+        assert_backends_agree(&db, &plan_for(&query, threshold, "P-v"));
+        let query = SessionQuery::count_by_categorical("by-c", "c", bins);
+        let opt_in: Arc<dyn Policy<Record>> = Arc::new(AttributePolicy::opt_in("opt"));
+        assert_backends_agree(&db, &plan_for(&query, opt_in, "P-opt"));
     }
 }
