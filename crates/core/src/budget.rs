@@ -7,15 +7,13 @@
 //! parallel composition theorem for the extended definition (Theorem 10.2):
 //! mechanisms run on disjoint partitions of the data compose with `max(εᵢ)`.
 //!
-//! [`BudgetAccountant`] is a small, thread-safe ledger that mechanisms and
-//! experiment harnesses use to (a) enforce a total budget and (b) report how a
-//! composite release breaks down. It tracks epsilons and guarantee kinds; the
-//! minimum relaxation of the *policies* involved is represented symbolically
-//! by the recorded policy labels (composing the actual policy objects is done
-//! with [`crate::policy::MinimumRelaxation`]).
+//! [`BudgetAccountant`] is a small, lock-free counter that mechanisms and
+//! experiment harnesses use to enforce a total budget. It records no
+//! per-spend entries: a session's audit log is its ledger of record, and
+//! composing the actual policy objects is done with
+//! [`crate::policy::MinimumRelaxation`].
 
 use crate::error::{validate_epsilon, OsdpError, Result};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -204,7 +202,7 @@ pub fn epsilon_to_units(epsilon: f64) -> u64 {
     units = units.max(1);
     // Defensive: the f64 view of the debit must never read below epsilon
     // (`units_to_eps` multiplies by the *inexact* 1e-12).
-    while units < u64::MAX && units_to_eps(units) < epsilon {
+    while units < u64::MAX && units_to_epsilon(units) < epsilon {
         units += 1;
     }
     units
@@ -216,24 +214,16 @@ pub fn units_to_epsilon(units: u64) -> f64 {
     units as f64 * EPS_UNIT
 }
 
-/// Internal aliases keeping the accountant's call sites short.
-fn eps_to_units(epsilon: f64) -> u64 {
-    epsilon_to_units(epsilon)
-}
-
-fn units_to_eps(units: u64) -> f64 {
-    units_to_epsilon(units)
-}
-
 /// A thread-safe sequential-composition accountant with an optional cap.
 ///
-/// Enforcement is **lock-free**: the spend path converts ε to fixed-point
-/// units ([`BudgetAccountant::RESOLUTION`]) and admits the debit with one
-/// CAS loop on an atomic counter — all-or-nothing, order-independent, and
-/// contention-free for concurrent spenders. Only the human-readable entry
-/// ledger sits behind a mutex, appended *after* the atomic grant; under
-/// concurrency the ledger's entry order may therefore differ from grant
-/// order, but its contents (and every total) are exact.
+/// The accountant holds only its cap and one atomic counter. A spend
+/// converts ε to fixed-point units ([`BudgetAccountant::RESOLUTION`]) and
+/// admits the debit with one CAS loop: all-or-nothing, order-independent,
+/// and lock-free for concurrent spenders. It keeps no per-spend record —
+/// the label arguments of [`BudgetAccountant::spend`] and friends are not
+/// stored. A session's ledger of record is its audit log (plus the WAL,
+/// for durable sessions), which is also where the composed guarantee's
+/// policy labels come from.
 ///
 /// ```
 /// use osdp_core::{BudgetAccountant, PrivacyGuarantee};
@@ -251,7 +241,6 @@ pub struct BudgetAccountant {
     /// Total admitted spend in fixed-point units — the single source of
     /// truth for enforcement, `total_spent` and `remaining`.
     spent_units: AtomicU64,
-    entries: Mutex<Vec<LedgerEntry>>,
 }
 
 impl BudgetAccountant {
@@ -268,50 +257,30 @@ impl BudgetAccountant {
 
     /// An accountant with no cap: it only records what is spent.
     pub fn unlimited() -> Self {
-        Self {
-            limit: None,
-            limit_units: None,
-            spent_units: AtomicU64::new(0),
-            entries: Mutex::new(Vec::new()),
-        }
+        Self { limit: None, limit_units: None, spent_units: AtomicU64::new(0) }
     }
 
     /// An accountant that refuses to exceed `limit` total epsilon under
     /// sequential composition.
     pub fn with_limit(limit: f64) -> Result<Self> {
-        validate_epsilon(limit)?;
-        Ok(Self {
-            limit: Some(limit),
-            limit_units: Some(eps_to_units(limit)),
-            spent_units: AtomicU64::new(0),
-            entries: Mutex::new(Vec::new()),
-        })
+        Self::recovered(Some(limit), 0)
     }
 
     /// An accountant **seeded from recovered state**: `spent_units` is the
     /// fixed-point total a durable ledger reconstructed (see the
     /// `osdp-persist` crate), restored as the raw integer — no float
     /// round-trip, so a restart reproduces the pre-crash counter bit for
-    /// bit. The entry ledger starts empty; recovered history lives in the
-    /// audit log's base, not here.
+    /// bit. Recovered history lives in the audit log's base.
     ///
     /// The recovered spend may legitimately *exceed* a (lowered) cap: the
     /// accountant then simply refuses every further grant — `remaining`
     /// saturates at zero and the CAS path admits nothing.
     pub fn recovered(limit: Option<f64>, spent_units: u64) -> Result<Self> {
         let limit_units = match limit {
-            Some(limit) => {
-                validate_epsilon(limit)?;
-                Some(eps_to_units(limit))
-            }
+            Some(limit) => Some(epsilon_to_units(validate_epsilon(limit)?)),
             None => None,
         };
-        Ok(Self {
-            limit,
-            limit_units,
-            spent_units: AtomicU64::new(spent_units),
-            entries: Mutex::new(Vec::new()),
-        })
+        Ok(Self { limit, limit_units, spent_units: AtomicU64::new(spent_units) })
     }
 
     /// The configured cap, if any.
@@ -319,18 +288,22 @@ impl BudgetAccountant {
         self.limit
     }
 
-    /// The atomic grant: admits `units` against the cap with a CAS loop, or
-    /// reports the remaining budget (in ε) without spending anything. This
-    /// is the only decision point — no lock is ever taken to enforce the
-    /// cap, so concurrent grants never serialize against each other or
-    /// against ledger readers.
-    fn try_grant_units(&self, units: u64) -> std::result::Result<(), f64> {
+    /// The atomic grant: admits `units` (a debit already converted with
+    /// [`epsilon_to_units`], or a sum of such conversions for a batch)
+    /// against the cap with one CAS loop, all-or-nothing. On refusal
+    /// nothing is spent and the error reports `requested` ε against the
+    /// remaining budget. This is the only decision point: no lock is ever
+    /// taken to enforce the cap.
+    pub fn spend_units(&self, units: u64, requested: f64) -> Result<()> {
         let mut spent = self.spent_units.load(Ordering::Acquire);
         loop {
             if let Some(limit_units) = self.limit_units {
                 let remaining = limit_units.saturating_sub(spent);
                 if units > remaining {
-                    return Err(units_to_eps(remaining));
+                    return Err(OsdpError::BudgetExhausted {
+                        requested,
+                        remaining: units_to_epsilon(remaining),
+                    });
                 }
             }
             match self.spent_units.compare_exchange_weak(
@@ -345,71 +318,50 @@ impl BudgetAccountant {
         }
     }
 
-    /// Records an ε expenditure under sequential composition.
-    ///
-    /// Fails (and records nothing) if the cap would be exceeded.
+    /// Admits an ε expenditure under sequential composition, or fails
+    /// without spending anything if the cap would be exceeded. The label
+    /// and policy describe the spend to the caller's own ledger; the
+    /// accountant does not store them.
     pub fn spend(
         &self,
-        label: impl Into<String>,
-        policy: impl Into<String>,
+        _label: impl Into<String>,
+        _policy: impl Into<String>,
         epsilon: f64,
-        guarantee: PrivacyGuarantee,
+        _guarantee: PrivacyGuarantee,
     ) -> Result<()> {
-        validate_epsilon(epsilon)?;
-        self.try_grant_units(eps_to_units(epsilon))
-            .map_err(|remaining| OsdpError::BudgetExhausted { requested: epsilon, remaining })?;
-        self.entries.lock().push(LedgerEntry {
-            label: label.into(),
-            policy: policy.into(),
-            epsilon,
-            guarantee,
-        });
-        Ok(())
+        self.spend_units(epsilon_to_units(validate_epsilon(epsilon)?), epsilon)
     }
 
-    /// Records a batch of sequential-composition expenditures **atomically**:
-    /// either every entry is admitted (one ledger entry each, in order) or —
-    /// when the cap cannot cover the batch total — none is, and the ledger
-    /// is untouched.
+    /// Admits a batch of sequential-composition expenditures
+    /// **atomically**: either the whole batch is spent or — when the cap
+    /// cannot cover the batch total — none of it is.
     ///
     /// The batch total is the integer sum of the per-entry fixed-point
     /// debits, so a granted batch spends *exactly* what the same entries
-    /// granted one by one would have: all-or-nothing at a single CAS, with
-    /// no tolerance arithmetic racing a higher layer's.
+    /// granted one by one would have: all-or-nothing at a single CAS.
     ///
-    /// `entries` is a list of `(label, policy, epsilon, guarantee)` tuples.
+    /// `entries` is a list of `(label, policy, epsilon, guarantee)` tuples;
+    /// only the epsilons are used.
     pub fn spend_batch(&self, entries: &[(String, String, f64, PrivacyGuarantee)]) -> Result<()> {
         let mut total_units = 0u64;
         let mut total = 0.0;
         for &(_, _, epsilon, _) in entries {
-            validate_epsilon(epsilon)?;
-            total_units = total_units.saturating_add(eps_to_units(epsilon));
+            total_units = total_units.saturating_add(epsilon_to_units(validate_epsilon(epsilon)?));
             total += epsilon;
         }
-        self.try_grant_units(total_units)
-            .map_err(|remaining| OsdpError::BudgetExhausted { requested: total, remaining })?;
-        let mut ledger = self.entries.lock();
-        for (label, policy, epsilon, guarantee) in entries {
-            ledger.push(LedgerEntry {
-                label: label.clone(),
-                policy: policy.clone(),
-                epsilon: *epsilon,
-                guarantee: *guarantee,
-            });
-        }
-        Ok(())
+        self.spend_units(total_units, total)
     }
 
-    /// Records a **parallel** block: mechanisms applied to disjoint partitions
-    /// of the data. Under Theorem 10.2 the block costs `max(εᵢ)` rather than
-    /// the sum.
+    /// Admits a **parallel** block: mechanisms applied to disjoint
+    /// partitions of the data. Under Theorem 10.2 the block costs `max(εᵢ)`
+    /// rather than the sum.
     ///
-    /// `parts` is a list of `(label, policy, epsilon)` triples; the whole block
-    /// is recorded as one ledger entry labelled `block_label`.
+    /// `parts` is a list of `(label, policy, epsilon)` triples; only the
+    /// epsilons are used.
     pub fn spend_parallel(
         &self,
-        block_label: impl Into<String>,
-        guarantee: PrivacyGuarantee,
+        _block_label: impl Into<String>,
+        _guarantee: PrivacyGuarantee,
         parts: &[(&str, &str, f64)],
     ) -> Result<()> {
         if parts.is_empty() {
@@ -417,22 +369,15 @@ impl BudgetAccountant {
         }
         let mut max_eps: f64 = 0.0;
         for &(_, _, eps) in parts {
-            validate_epsilon(eps)?;
-            max_eps = max_eps.max(eps);
+            max_eps = max_eps.max(validate_epsilon(eps)?);
         }
-        let policies: Vec<&str> = parts.iter().map(|&(_, p, _)| p).collect();
-        self.spend(
-            format!("{} [parallel: {}]", block_label.into(), parts.len()),
-            format!("min-relaxation({})", policies.join(", ")),
-            max_eps,
-            guarantee,
-        )
+        self.spend_units(epsilon_to_units(max_eps), max_eps)
     }
 
     /// Total epsilon spent so far (sequential composition). Lock-free: one
     /// atomic load, exact for the admitted fixed-point total.
     pub fn total_spent(&self) -> f64 {
-        units_to_eps(self.spent_units.load(Ordering::Acquire))
+        units_to_epsilon(self.spent_units.load(Ordering::Acquire))
     }
 
     /// Total spend in fixed-point units ([`BudgetAccountant::RESOLUTION`] ε
@@ -447,32 +392,7 @@ impl BudgetAccountant {
     /// Remaining budget, or `None` for an unlimited accountant. Lock-free.
     pub fn remaining(&self) -> Option<f64> {
         let spent = self.spent_units.load(Ordering::Acquire);
-        self.limit_units.map(|limit| units_to_eps(limit.saturating_sub(spent)))
-    }
-
-    /// A snapshot of the ledger.
-    pub fn ledger(&self) -> Vec<LedgerEntry> {
-        self.entries.lock().clone()
-    }
-
-    /// True if every recorded entry is plain differential privacy — in which
-    /// case the composite release is ε-DP for ε = [`Self::total_spent`].
-    pub fn is_pure_dp(&self) -> bool {
-        self.entries.lock().iter().all(|e| e.guarantee == PrivacyGuarantee::DifferentialPrivacy)
-    }
-
-    /// Summarises the OSDP guarantee of the composed release: the total ε and
-    /// the list of policy labels whose minimum relaxation the guarantee refers
-    /// to (Theorem 3.3).
-    pub fn composed_guarantee(&self) -> (f64, Vec<String>) {
-        let entries = self.entries.lock();
-        let mut policies: Vec<String> = Vec::new();
-        for entry in entries.iter() {
-            if !policies.contains(&entry.policy) {
-                policies.push(entry.policy.clone());
-            }
-        }
-        (self.total_spent(), policies)
+        self.limit_units.map(|limit| units_to_epsilon(limit.saturating_sub(spent)))
     }
 }
 
@@ -678,22 +598,16 @@ mod tests {
         let entry = |label: &str, eps: f64| {
             (label.to_string(), "P".to_string(), eps, PrivacyGuarantee::OneSided)
         };
-        // A batch exceeding the cap is refused whole: nothing spent, nothing
-        // in the ledger.
+        // A batch exceeding the cap is refused whole: nothing spent.
         let too_big = [entry("a", 0.6), entry("b", 0.6)];
         assert!(matches!(acc.spend_batch(&too_big), Err(OsdpError::BudgetExhausted { .. })));
         assert_eq!(acc.total_spent(), 0.0);
-        assert!(acc.ledger().is_empty());
-        // A fitting batch is admitted in order, one ledger entry each
-        // (dyadic epsilons are exact at the fixed-point resolution, so they
-        // cover the cap exactly even under ceiling rounding).
+        // A fitting batch is admitted whole (dyadic epsilons are exact at
+        // the fixed-point resolution, so they cover the cap exactly even
+        // under ceiling rounding).
         let fits = [entry("a", 0.625), entry("b", 0.375)];
         acc.spend_batch(&fits).unwrap();
         assert!((acc.total_spent() - 1.0).abs() < 1e-12);
-        let ledger = acc.ledger();
-        assert_eq!(ledger.len(), 2);
-        assert_eq!(ledger[0].label, "a");
-        assert_eq!(ledger[1].label, "b");
         // The accountant is now exhausted for any further batch.
         assert!(acc.spend_batch(&[entry("c", 0.1)]).is_err());
         // Invalid epsilons are rejected before anything is admitted.
@@ -723,13 +637,7 @@ mod tests {
         acc.spend("m1", "P99", 0.3, PrivacyGuarantee::OneSided).unwrap();
         acc.spend("m2", "P90", 0.7, PrivacyGuarantee::OneSided).unwrap();
         assert!((acc.total_spent() - 1.0).abs() < 1e-12);
-        assert_eq!(acc.ledger().len(), 2);
         assert_eq!(acc.remaining(), None);
-        assert!(!acc.is_pure_dp());
-
-        let (eps, policies) = acc.composed_guarantee();
-        assert!((eps - 1.0).abs() < 1e-12);
-        assert_eq!(policies, vec!["P99".to_string(), "P90".to_string()]);
     }
 
     #[test]
@@ -741,12 +649,11 @@ mod tests {
         let err = acc.spend("b", "P", 0.5, PrivacyGuarantee::DifferentialPrivacy).unwrap_err();
         assert!(matches!(err, OsdpError::BudgetExhausted { .. }));
         // Failed spends must not be recorded.
-        assert_eq!(acc.ledger().len(), 1);
+        assert!((acc.remaining().unwrap() - 0.25).abs() < 1e-12);
         // Spending exactly the remainder (exact at the fixed-point
         // resolution) is fine.
         acc.spend("c", "P", 0.25, PrivacyGuarantee::DifferentialPrivacy).unwrap();
         assert!(acc.remaining().unwrap().abs() < 1e-9);
-        assert!(acc.is_pure_dp());
     }
 
     #[test]
@@ -767,11 +674,6 @@ mod tests {
         )
         .unwrap();
         assert!((acc.total_spent() - 0.5).abs() < 1e-12);
-        let ledger = acc.ledger();
-        assert_eq!(ledger.len(), 1);
-        assert!(ledger[0].label.contains("parallel"));
-        assert!(ledger[0].policy.contains("P1"));
-        assert!(ledger[0].policy.contains("P2"));
 
         assert!(acc.spend_parallel("empty", PrivacyGuarantee::OneSided, &[]).is_err());
         assert!(acc
@@ -838,7 +740,6 @@ mod tests {
         assert_eq!(granted, 8);
         assert_eq!(acc.total_spent(), 1.0);
         assert_eq!(acc.remaining(), Some(0.0));
-        assert_eq!(acc.ledger().len(), 8);
     }
 
     #[test]
@@ -955,9 +856,6 @@ mod tests {
         assert!(acc
             .spend("over", "P", BudgetAccountant::RESOLUTION, PrivacyGuarantee::OneSided)
             .is_err());
-        // Recovered history is not in the entry ledger (it lives in the
-        // audit log's recovered base).
-        assert_eq!(acc.ledger().len(), 1);
         // A recovered spend above a lowered cap refuses everything but is
         // not an error in itself.
         let over = BudgetAccountant::recovered(Some(0.5), 750_000_000_000).unwrap();
@@ -985,6 +883,5 @@ mod tests {
             h.join().unwrap();
         }
         assert!((acc.total_spent() - 1.0).abs() < 1e-9);
-        assert_eq!(acc.ledger().len(), 8);
     }
 }

@@ -25,10 +25,9 @@
 //!   (Definition 10.1).
 //! * [`Histogram`] / [`Histogram2D`] — dense count vectors over categorical
 //!   domains, the main query class studied in Section 5 of the paper.
-//! * [`budget`] — a privacy-budget accountant implementing sequential
-//!   composition (Theorem 3.3) and parallel composition (Theorem 10.2),
-//!   including the policy bookkeeping (minimum relaxation of the composed
-//!   policies).
+//! * [`budget`] — a lock-free privacy-budget accountant implementing
+//!   sequential composition (Theorem 3.3) and parallel composition
+//!   (Theorem 10.2).
 //! * [`frame`] — the columnar data plane: [`ColumnarFrame`] snapshots of
 //!   record databases (typed columns, optional row weights), [`PolicyMask`]
 //!   bitmasks, and the compiled, vectorized forms of policies

@@ -213,30 +213,20 @@ impl AuditLog {
         self.shards[thread_shard()].lock().push((seq, record));
     }
 
-    /// Appends a record.
-    pub fn append(&self, record: AuditRecord) {
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel) & INDEX_MASK;
-        self.push_stamped(seq, record);
-    }
-
     /// Allocates the next monotone release index and appends the record
-    /// built from it. Index allocation is one atomic increment, so
-    /// concurrent releases get dense, unique indices without serializing;
-    /// the index doubles as the record's sequence stamp, keeping
-    /// [`AuditLog::records`] in release-index order.
-    pub fn append_next(&self, make: impl FnOnce(u64) -> AuditRecord) -> u64 {
-        let index = self.seq.fetch_add(1, Ordering::AcqRel) & INDEX_MASK;
-        self.push_stamped(index, make(index));
-        index
-    }
-
-    /// [`AuditLog::append_next`], but the closure also receives the policy
-    /// epoch version in force **at the instant the index was allocated** —
-    /// both come out of one `fetch_add`, so across any interleaving of
-    /// appends and [`AuditLog::bump_version`] calls the returned `(index,
-    /// version)` pairs are monotone: a later index never carries an earlier
-    /// version. Returns the pair so the caller can detect that a transition
-    /// landed mid-release and re-derive under the stamped epoch.
+    /// built from it — the single append of the grant path. Index
+    /// allocation is one atomic increment, so concurrent releases get
+    /// dense, unique indices without serializing; the index doubles as the
+    /// record's sequence stamp, keeping [`AuditLog::records`] in
+    /// release-index order.
+    ///
+    /// The closure also receives the policy epoch version in force **at
+    /// the instant the index was allocated** — both come out of one
+    /// `fetch_add`, so across any interleaving of appends and
+    /// [`AuditLog::bump_version`] calls the returned `(index, version)`
+    /// pairs are monotone: a later index never carries an earlier version.
+    /// Returns the pair so the caller can detect that a transition landed
+    /// mid-release and re-derive under the stamped epoch.
     pub fn append_versioned(&self, make: impl FnOnce(u64, u64) -> AuditRecord) -> (u64, u64) {
         let packed = self.seq.fetch_add(1, Ordering::AcqRel);
         let index = packed & INDEX_MASK;
@@ -367,6 +357,22 @@ impl AuditLog {
         out
     }
 
+    /// The distinct policy labels of the log in first-use order: the
+    /// recovered base rows (in snapshot order), then the records in index
+    /// order — the labels whose minimum relaxation the composed guarantee
+    /// refers to (Theorem 3.3). O(n), like [`AuditLog::records`].
+    pub fn policy_labels(&self) -> Vec<String> {
+        let records = self.records();
+        let used = self.base.iter().map(|e| e.policy.as_str());
+        let mut labels: Vec<String> = Vec::new();
+        for policy in used.chain(records.iter().map(|r| &*r.policy)) {
+            if !labels.iter().any(|l| l == policy) {
+                labels.push(policy.to_string());
+            }
+        }
+        labels
+    }
+
     /// The log as a JSON array.
     pub fn to_json(&self) -> String {
         let records = self.records();
@@ -414,7 +420,7 @@ mod tests {
     #[test]
     fn sharded_appends_merge_into_index_order() {
         use std::sync::Arc;
-        // 8 threads append through append_next concurrently: indices are
+        // 8 threads append through append_versioned concurrently: indices are
         // dense and unique, the merged snapshot is sorted by index, and the
         // atomic counters agree with the snapshot.
         let log = Arc::new(AuditLog::new());
@@ -423,7 +429,7 @@ mod tests {
                 let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     for trials in 1..=4 {
-                        log.append_next(|index| record(index, trials));
+                        log.append_versioned(|index, _| record(index, trials));
                     }
                 })
             })
@@ -461,13 +467,15 @@ mod tests {
         assert_eq!(log.len(), 5);
         assert_eq!(log.total_epsilon_units(), 2_500_000_000_000);
         // Live appends continue the index sequence after the tail.
-        let next = log.append_next(|index| record(index, 1));
+        let (next, _) = log.append_versioned(|index, _| record(index, 1));
         assert_eq!(next, 5);
         // The ledger view: base entry first, then tail + live records.
         let ledger = log.ledger();
         assert_eq!(ledger.len(), 3);
         assert!(ledger[0].label.contains("recovered"));
         assert_eq!(ledger[1].epsilon, 0.5);
+        // Policy labels in first-use order: base rows, then records.
+        assert_eq!(log.policy_labels(), vec!["P90".to_string()]);
         // records() holds only the replayed + live records, not the base.
         assert_eq!(log.records().len(), 2);
     }
@@ -476,7 +484,7 @@ mod tests {
     fn scratch_buffer_snapshots_match_the_allocating_ones() {
         let log = AuditLog::new();
         for trials in 1..=3 {
-            log.append_next(|index| record(index, trials));
+            log.append_versioned(|index, _| record(index, trials));
         }
         let mut scratch = Vec::new();
         log.records_into(&mut scratch);
@@ -563,8 +571,8 @@ mod tests {
     fn log_appends_and_snapshots() {
         let log = AuditLog::new();
         assert!(log.is_empty());
-        log.append(record(0, 1));
-        log.append(record(1, 3));
+        log.append_versioned(|index, _| record(index, 1));
+        log.append_versioned(|index, _| record(index, 3));
         assert_eq!(log.len(), 2);
         assert_eq!(log.records()[1].trials, 3);
         assert_eq!(log.ledger().len(), 2);

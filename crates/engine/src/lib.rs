@@ -12,7 +12,10 @@
 //!    from it;
 //! 3. **a [`osdp_core::BudgetAccountant`]** — debited *before* any noise is
 //!    sampled, so an exhausted budget refuses the release instead of leaking
-//!    it ([`osdp_core::OsdpError::BudgetExhausted`]).
+//!    it ([`osdp_core::OsdpError::BudgetExhausted`]). Every entry point
+//!    takes the same grant path: capture the epoch, derive the task, admit
+//!    the debit with one CAS, stamp the audit record, log the WAL frame,
+//!    and only then sample. The debit itself takes no lock.
 //!
 //! On top of that contract the session provides:
 //!
@@ -33,7 +36,10 @@
 //!   the policy labels the composite guarantee refers to;
 //! * an **audit log** ([`AuditLog`]) of every release — mechanism, policy,
 //!   query, guarantee — whose ledger view is consumable by
-//!   `osdp_attack::verify_ledger`;
+//!   `osdp_attack::verify_ledger`. The audit log (plus the WAL, for durable
+//!   sessions) is the **ledger of record**: the accountant keeps only its
+//!   cap and an atomic counter, and the composed guarantee's policy labels
+//!   are read from the audit log;
 //! * a **zero-allocation batch plane**: [`OsdpSession::release_trials`]
 //!   runs one trial per core via rayon, writing into a preallocated output
 //!   arena through the buffer-reuse
@@ -101,8 +107,8 @@
 //! Pool runners (the regret analysis of Section 6.3.3.2) release the same
 //! query through every mechanism of a pool. [`OsdpSession::release_pool`]
 //! batches the whole pool: **one** backend scan (served by the task cache),
-//! **one** compare-and-swap on the budget
-//! ([`BudgetAccountant::spend_batch`](osdp_core::BudgetAccountant::spend_batch))
+//! **one** compare-and-swap on the budget's fixed-point units
+//! ([`BudgetAccountant::spend_units`](osdp_core::BudgetAccountant::spend_units))
 //! debiting every mechanism all-or-nothing, and one rayon fan-out over
 //! every `(mechanism, trial)` pair. Accounting and estimates are identical — bitwise, for the
 //! estimates — to calling [`OsdpSession::release_trials`] once per mechanism
@@ -230,9 +236,10 @@
 //!   all-or-nothing pool batch — is one CAS loop. Because integer addition
 //!   commutes, the admitted total is independent of the interleaving order
 //!   of concurrent spenders, and the cap can never be overshot (sequential
-//!   composition, Theorem 3.3, enforced order-free). Only the
-//!   human-readable entry ledger sits behind a mutex, appended *after* the
-//!   grant.
+//!   composition, Theorem 3.3, enforced order-free). The accountant keeps
+//!   no per-grant entry, so the debit takes no lock and allocates nothing;
+//!   the audit log (plus the WAL, for durable sessions) is the ledger of
+//!   record.
 //! * **The audit log is sharded.** [`AuditLog`] appends to per-thread shard
 //!   buffers (no global append lock) and stamps each record with a monotone
 //!   sequence number from one atomic counter, which doubles as the release
@@ -242,10 +249,7 @@
 //!   release-index order. Single-threaded callers therefore observe exactly
 //!   the historical append-order log — the bitwise-parity oracle paths are
 //!   unchanged — while concurrent callers observe a total order consistent
-//!   with index allocation. Under concurrency the *accountant ledger's*
-//!   entry order may differ from audit order (both appends are
-//!   post-grant), but every entry is present and every total is exact, so
-//!   `osdp_attack::verify_ledger` verdicts are unaffected.
+//!   with index allocation.
 //! * **Caches are sharded.** The task cache hashes its identity keys
 //!   across shards holding per-key derivation slots; racing derivations of
 //!   the *same* key serialize on that key's slot and scan exactly once,

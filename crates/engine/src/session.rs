@@ -6,7 +6,8 @@ use crate::cache::TaskCache;
 use crate::intern::Interner;
 use crate::persist::{GrantEvent, SessionPersistence, SessionWal};
 use osdp_attack::{EpochTransition, ReleaseStamp};
-use osdp_core::error::{OsdpError, Result};
+use osdp_core::budget::epsilon_to_units;
+use osdp_core::error::{validate_epsilon, OsdpError, Result};
 use osdp_core::frame::{BinSpec, ColumnarFrame, PAIR_BIN_FIELD, PAIR_FLAG_FIELD};
 use osdp_core::policy::{
     AttributePolicy, EpochDirection, MinimumRelaxation, Policy, VersionedPolicy,
@@ -119,6 +120,44 @@ impl<R> EpochCell<R> {
 enum Source<R> {
     Records { backend: Arc<dyn Backend<R>>, epoch: EpochCell<R> },
     Bound { task: Arc<HistogramTask> },
+}
+
+/// How a grant derives what its sampler reads.
+enum Derive<'a, R, T> {
+    /// Derived under the epoch in force at capture (`None` for
+    /// histogram-backed sessions) and re-derived under the stamped epoch
+    /// when a transition races the grant.
+    Epoch(&'a dyn Fn(Option<&EpochState<R>>) -> Result<T>),
+    /// Fixed before the grant and stamped under `label` whatever epoch is
+    /// in force. `policy` is an override policy that joins the composed
+    /// minimum relaxation once its debit is admitted.
+    Fixed { input: T, label: Arc<str>, policy: Option<Arc<dyn Policy<R>>> },
+}
+
+/// What a granted release samples from; its bin count goes into the audit
+/// record and the WAL frame.
+trait GrantInput: Clone {
+    fn bins(&self) -> usize;
+}
+
+impl GrantInput for Arc<HistogramTask> {
+    fn bins(&self) -> usize {
+        HistogramTask::bins(self)
+    }
+}
+
+impl GrantInput for &HistogramTask {
+    fn bins(&self) -> usize {
+        HistogramTask::bins(self)
+    }
+}
+
+/// Record samples: the input is the policy to sample under, and no
+/// histogram bins are released.
+impl<R> GrantInput for Arc<dyn Policy<R>> {
+    fn bins(&self) -> usize {
+        0
+    }
 }
 
 /// A histogram query answered by a session.
@@ -321,36 +360,14 @@ impl<R> SessionBuilder<R> {
     /// be bound with [`SessionBuilder::policy`] before
     /// [`SessionBuilder::build`].
     pub fn new(db: Database<R>) -> Self {
-        Self {
-            db: Some(db),
-            backend: None,
-            bound: None,
-            policy: None,
-            policy_label: None,
-            budget: None,
-            seed: 0,
-            persistence: None,
-            columnar_applied: false,
-            columnar_misuse: false,
-        }
+        Self::with_source(Some(db), None, None)
     }
 
     /// Starts a session over an explicit scan [`Backend`] — the extension
     /// point for external stores (sharded, streaming, SQL). A policy must
     /// still be bound.
     pub fn with_backend(backend: Arc<dyn Backend<R>>) -> Self {
-        Self {
-            db: None,
-            backend: Some(backend),
-            bound: None,
-            policy: None,
-            policy_label: None,
-            budget: None,
-            seed: 0,
-            persistence: None,
-            columnar_applied: false,
-            columnar_misuse: false,
-        }
+        Self::with_source(None, Some(backend), None)
     }
 
     /// Starts a session over a pre-aggregated histogram pair: the full
@@ -358,10 +375,18 @@ impl<R> SessionBuilder<R> {
     /// sampler). Validated at build time: the two must have the same domain
     /// and `x_ns` must be dominated by `x`.
     pub fn from_histograms(full: Histogram, non_sensitive: Histogram) -> Self {
+        Self::with_source(None, None, Some((full, non_sensitive)))
+    }
+
+    fn with_source(
+        db: Option<Database<R>>,
+        backend: Option<Arc<dyn Backend<R>>>,
+        bound: Option<(Histogram, Histogram)>,
+    ) -> Self {
         Self {
-            db: None,
-            backend: None,
-            bound: Some((full, non_sensitive)),
+            db,
+            backend,
+            bound,
             policy: None,
             policy_label: None,
             budget: None,
@@ -436,10 +461,8 @@ impl<R> SessionBuilder<R> {
         // policy-version bits), so a restart resumes the exact pre-crash
         // state — and keeps the WAL hooked into the grant path. A plain
         // builder starts both from zero with no WAL.
-        let (accountant, audit, wal, base_version, recovered_transitions) = match self.persistence {
-            Some(persistence) => {
-                let SessionPersistence { wal, recovered } = persistence;
-                let accountant = BudgetAccountant::recovered(self.budget, recovered.spent_units)?;
+        let (audit, wal, spent_units, version, transitions) = match self.persistence {
+            Some(SessionPersistence { wal, recovered }) => {
                 let audit = AuditLog::recovered(
                     recovered.base_seq,
                     recovered.policy_version,
@@ -449,16 +472,12 @@ impl<R> SessionBuilder<R> {
                 for (record, units) in recovered.tail {
                     audit.restore(record, units);
                 }
-                (accountant, audit, Some(wal), recovered.policy_version, recovered.transitions)
+                let version = recovered.policy_version;
+                (audit, Some(wal), recovered.spent_units, version, recovered.transitions)
             }
-            None => {
-                let accountant = match self.budget {
-                    Some(limit) => BudgetAccountant::with_limit(limit)?,
-                    None => BudgetAccountant::unlimited(),
-                };
-                (accountant, AuditLog::new(), None, 0, Vec::new())
-            }
+            None => (AuditLog::new(), None, 0, 0, Vec::new()),
         };
+        let accountant = BudgetAccountant::recovered(self.budget, spent_units)?;
         let policy_label = self.policy_label.unwrap_or_else(|| "P".to_string());
         let backend = match (self.db, self.backend) {
             (Some(db), None) => Some(Arc::new(RowBackend::new(db)) as Arc<dyn Backend<R>>),
@@ -483,8 +502,8 @@ impl<R> SessionBuilder<R> {
                 let epoch = EpochCell::new(
                     policy,
                     Arc::clone(&label_arc),
-                    base_version,
-                    recovered_transitions
+                    version,
+                    transitions
                         .iter()
                         .map(|t| EpochTransition {
                             version: t.version,
@@ -649,28 +668,6 @@ impl<R> OsdpSession<R> {
         self.wal.as_ref()
     }
 
-    /// The WAL half of the grant path: logs an admitted grant after the
-    /// accountant's CAS and the audit append, **before** sampling. An IO
-    /// failure refuses the release (the ε stays spent and audited — the
-    /// conservative direction; a sample must never outrun its durable
-    /// record). No-op without persistence.
-    fn wal_grant(&self, event: GrantEvent<'_>) -> Result<()> {
-        match &self.wal {
-            Some(wal) => wal.log_grant(event),
-            None => Ok(()),
-        }
-    }
-
-    /// Logs a budget refusal to the WAL (best-effort: refusals spend
-    /// nothing, so a lost refusal record never unbalances recovery) and
-    /// passes the error through.
-    fn wal_refused(&self, mechanism: &str, requested: f64, err: OsdpError) -> OsdpError {
-        if let (Some(wal), OsdpError::BudgetExhausted { .. }) = (&self.wal, &err) {
-            let _ = wal.log_refusal(mechanism, requested);
-        }
-        err
-    }
-
     /// Total ε spent so far.
     pub fn total_spent(&self) -> f64 {
         self.accountant.total_spent()
@@ -683,9 +680,11 @@ impl<R> OsdpSession<R> {
 
     /// The composed guarantee of everything released so far (Theorem 3.3):
     /// total ε and the labels of the policies whose minimum relaxation the
-    /// guarantee refers to.
+    /// guarantee refers to. The labels come from the audit log — the ledger
+    /// of record — in first-use order ([`AuditLog::policy_labels`]), so a
+    /// recovered durable session lists its pre-crash policies too.
     pub fn composed_guarantee(&self) -> (f64, Vec<String>) {
-        self.accountant.composed_guarantee()
+        (self.accountant.total_spent(), self.audit.policy_labels())
     }
 
     /// The minimum relaxation of every policy used by record-level releases
@@ -754,7 +753,7 @@ impl<R> OsdpSession<R> {
     /// Served through the session's task cache: repeated derivations of the
     /// same query under the bound policy run **one** backend scan.
     pub fn derive_task(&self, query: &SessionQuery<R>) -> Result<HistogramTask> {
-        Ok((*self.cached_task(query)?).clone())
+        Ok((*self.task_under(query, self.current_epoch())?).clone())
     }
 
     /// The epoch currently in force for a record-backed session — one
@@ -767,57 +766,35 @@ impl<R> OsdpSession<R> {
         }
     }
 
-    /// The cache-aware task derivation behind every release path. Keyed by
-    /// the identities that determine the scan result (query closure, policy,
-    /// backend) **plus the policy epoch version**, so a transition can never
-    /// serve a pre-transition task to a post-transition release; mismatched
-    /// source/query combinations fall through to the scan path, which
-    /// reports the precise error.
-    fn cached_task(&self, query: &SessionQuery<R>) -> Result<Arc<HistogramTask>> {
-        match &self.source {
-            Source::Bound { task } => match query {
-                SessionQuery::Bound => Ok(Arc::clone(task)),
-                SessionQuery::CountBy { .. } => Err(OsdpError::InvalidInput(
-                    "histogram-backed sessions only answer SessionQuery::Bound".into(),
-                )),
-            },
-            Source::Records { epoch, .. } => {
-                let e = epoch.current();
-                self.cached_task_under(query, &e.policy, &e.label, e.version)
-            }
-        }
-    }
-
-    /// [`cached_task`](Self::cached_task) pinned to an **explicit** epoch
-    /// `(policy, label, version)`. The release path captures the epoch once
-    /// and derives under the capture, so a transition racing the release
-    /// can never tear the (policy, version) pair.
-    fn cached_task_under(
+    /// The cache-aware task derivation behind every query release, pinned
+    /// to an **explicit** epoch (`None` for histogram-backed sessions), so
+    /// a transition racing the release can never tear the (policy, version)
+    /// pair. Keyed by the identities that determine the scan result (query
+    /// closure, policy, backend) **plus the epoch version**, so a
+    /// transition can never serve a pre-transition task to a
+    /// post-transition release; mismatched source/query combinations fall
+    /// through to the scan path, which reports the precise error.
+    fn task_under(
         &self,
         query: &SessionQuery<R>,
-        policy: &Arc<dyn Policy<R>>,
-        policy_label: &Arc<str>,
-        policy_version: u64,
+        epoch: Option<&EpochState<R>>,
     ) -> Result<Arc<HistogramTask>> {
-        match (&self.source, query) {
-            (Source::Records { backend, .. }, SessionQuery::CountBy { bins, bin_of, spec, .. }) => {
-                self.tasks.get_or_derive(
-                    *bins,
-                    bin_of,
-                    spec.as_ref(),
-                    policy,
-                    policy_version,
-                    backend,
-                    || {
-                        self.scan_under(query, Some(policy), policy_label, policy_version)?
-                            .into_task()
-                    },
-                )
-            }
-            _ => self
-                .scan_under(query, Some(policy), policy_label, policy_version)?
-                .into_task()
-                .map(Arc::new),
+        match (&self.source, query, epoch) {
+            (Source::Bound { task }, SessionQuery::Bound, _) => Ok(Arc::clone(task)),
+            (
+                Source::Records { backend, .. },
+                SessionQuery::CountBy { bins, bin_of, spec, .. },
+                Some(e),
+            ) => self.tasks.get_or_derive(
+                *bins,
+                bin_of,
+                spec.as_ref(),
+                &e.policy,
+                e.version,
+                backend,
+                || self.scan_under(query, Some(&e.policy), &e.label, e.version)?.into_task(),
+            ),
+            _ => self.scan_under(query, None, &self.policy_label, 0)?.into_task().map(Arc::new),
         }
     }
 
@@ -828,20 +805,6 @@ impl<R> OsdpSession<R> {
         match self.current_epoch() {
             Some(e) => self.scan_under(query, Some(&e.policy), &e.label, e.version),
             None => self.scan_under(query, None, &self.policy_label, 0),
-        }
-    }
-
-    fn derive_task_under(
-        &self,
-        query: &SessionQuery<R>,
-        policy_override: Option<&Arc<dyn Policy<R>>>,
-        policy_label: &str,
-    ) -> Result<HistogramTask> {
-        match (&self.source, query) {
-            (Source::Bound { task }, SessionQuery::Bound) => Ok((**task).clone()),
-            _ => self
-                .scan_under(query, policy_override, policy_label, self.audit.current_version())?
-                .into_task(),
         }
     }
 
@@ -868,10 +831,7 @@ impl<R> OsdpSession<R> {
                 Source::Records { backend, epoch },
                 SessionQuery::CountBy { label, bins, bin_of, spec },
             ) => {
-                let policy = match policy_override {
-                    Some(policy) => policy,
-                    None => &epoch.current().policy,
-                };
+                let policy = policy_override.unwrap_or_else(|| &epoch.current().policy);
                 let plan = QueryPlan {
                     label: label.clone(),
                     bins: *bins,
@@ -896,13 +856,17 @@ impl<R> OsdpSession<R> {
         query: &SessionQuery<R>,
         mechanism: &dyn HistogramMechanism,
     ) -> Result<Release> {
-        self.release_inner(query, mechanism, None, Arc::clone(&self.policy_label))
+        self.release_one(query.label(), Derive::Epoch(&|e| self.task_under(query, e)), mechanism)
     }
 
     /// Releases under a *different* policy than the one bound at
     /// construction. The session tracks the minimum relaxation of every
     /// policy used (Theorem 3.3); see [`OsdpSession::composed_policy`].
     /// Record-backed sessions only.
+    ///
+    /// Override releases bypass both the task cache and the epoch protocol:
+    /// their records stamp whatever version is in force, but are never
+    /// relabelled or re-derived.
     pub fn release_with_policy(
         &self,
         query: &SessionQuery<R>,
@@ -916,182 +880,10 @@ impl<R> OsdpSession<R> {
             ));
         }
         let label = self.labels.get(&label.into());
-        self.release_inner(query, mechanism, Some(policy), label)
-    }
-
-    fn release_inner(
-        &self,
-        query: &SessionQuery<R>,
-        mechanism: &dyn HistogramMechanism,
-        policy_override: Option<Arc<dyn Policy<R>>>,
-        policy_label: Arc<str>,
-    ) -> Result<Release> {
-        // Capture the epoch once (one atomic load — the grant path stays
-        // lock-free) and derive under the capture. Policy overrides bypass
-        // both the task cache and the epoch protocol: their records stamp
-        // whatever version is in force, but never relabel or re-derive.
-        let (task, policy_label, captured_version, requery) = match &policy_override {
-            None => match &self.source {
-                Source::Records { epoch, .. } => {
-                    let e = epoch.current();
-                    (
-                        self.cached_task_under(query, &e.policy, &e.label, e.version)?,
-                        Arc::clone(&e.label),
-                        e.version,
-                        Some(query),
-                    )
-                }
-                Source::Bound { .. } => (self.cached_task(query)?, policy_label, 0, None),
-            },
-            Some(_) => (
-                Arc::new(self.derive_task_under(query, policy_override.as_ref(), &policy_label)?),
-                policy_label,
-                self.audit.current_version(),
-                None,
-            ),
-        };
-        let query_label = self.labels.get(query.label());
-        // Debit before sampling: a refused spend must not leak a sample. The
-        // grant is one CAS on the accountant's atomic spend counter — no
-        // lock — and the audit append allocates its index from the log's own
-        // atomic sequence, so concurrent releases never serialize here.
-        let guarantee = mechanism.guarantee();
-        self.accountant
-            .spend(mechanism.name(), &*policy_label, guarantee.epsilon(), guarantee.kind())
-            .map_err(|e| self.wal_refused(mechanism.name(), guarantee.epsilon(), e))?;
-        if let Some(policy) = policy_override {
-            self.remember_policy(&policy_label, policy);
-        }
-        self.sample_granted_release(
-            &task,
-            mechanism,
-            guarantee,
-            policy_label,
-            query_label,
-            captured_version,
-            requery,
-        )
-    }
-
-    /// Allocates the next audit index through the packed counter and appends
-    /// the audit record — the single stamping point of every release path.
-    ///
-    /// The counter hands out `(index, version)` in **one** atomic add, so
-    /// the stamped version is exactly the one in force at this release's
-    /// sequence number. When a transition raced in after the caller captured
-    /// its epoch (`version != captured_version` with `rederive` set), the
-    /// stamped epoch's state is resolved from the pinned history — it is
-    /// guaranteed installed, because transitions swap the epoch pointer
-    /// *before* bumping the counter — and the record is relabelled to it.
-    /// Returns `(index, version, effective label, stamped state if the
-    /// caller must re-derive)`.
-    #[allow(clippy::too_many_arguments)]
-    fn stamp_release(
-        &self,
-        captured_version: u64,
-        rederive: bool,
-        policy_label: Arc<str>,
-        mechanism_label: Arc<str>,
-        query_label: &Arc<str>,
-        bins: usize,
-        trials: usize,
-        guarantee: Guarantee,
-    ) -> (u64, u64, Arc<str>, Option<Arc<EpochState<R>>>) {
-        let mut label = policy_label;
-        let mut stamped = None;
-        let (index, version) = self.audit.append_versioned(|index, version| {
-            if rederive && version != captured_version {
-                if let Source::Records { epoch, .. } = &self.source {
-                    if let Some(state) = epoch.state(version) {
-                        label = Arc::clone(&state.label);
-                        stamped = Some(state);
-                    }
-                }
-            }
-            AuditRecord {
-                index,
-                mechanism: mechanism_label,
-                policy: Arc::clone(&label),
-                query: Arc::clone(query_label),
-                bins,
-                trials,
-                guarantee,
-                policy_version: version,
-            }
-        });
-        (index, version, label, stamped)
-    }
-
-    /// The shared post-grant tail of every single release — one-shot
-    /// ([`OsdpSession::release`]) and task-level
-    /// ([`OsdpSession::release_task`]) alike: append the audit record
-    /// (allocating the release index and version stamp), derive the `(seed,
-    /// "release/<mechanism>", index)` RNG stream, and sample. Keeping both
-    /// paths on this one function is what keeps the stream plane's
-    /// bitwise-parity contract with the one-shot oracle honest: any change
-    /// to the audit/stream/index sequence lands on both at once.
-    ///
-    /// `requery` is the epoch re-derivation hook: when set and a transition
-    /// landed between the caller's epoch capture (`captured_version`) and
-    /// index allocation, the task is re-derived under the **stamped** epoch
-    /// through the version-keyed cache, so no release is ever served a task
-    /// from a stale epoch. Static-policy sessions never hit this branch.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_granted_release(
-        &self,
-        task: &HistogramTask,
-        mechanism: &dyn HistogramMechanism,
-        guarantee: Guarantee,
-        policy_label: Arc<str>,
-        query_label: Arc<str>,
-        captured_version: u64,
-        requery: Option<&SessionQuery<R>>,
-    ) -> Result<Release> {
-        let mechanism_label = self.labels.get(mechanism.name());
-        let (index, version, policy_label, stamped) = self.stamp_release(
-            captured_version,
-            requery.is_some(),
-            policy_label,
-            mechanism_label,
-            &query_label,
-            task.bins(),
-            1,
-            guarantee,
-        );
-        // Rare slow path: a transition raced in — serve under the stamped
-        // epoch. Racing releases share the re-derivation through the cache.
-        let rederived = match (&stamped, requery) {
-            (Some(state), Some(query)) => {
-                Some(self.cached_task_under(query, &state.policy, &state.label, state.version)?)
-            }
-            _ => None,
-        };
-        let task = rederived.as_deref().unwrap_or(task);
-        // Durable hook: the grant reaches the WAL before any noise exists.
-        self.wal_grant(GrantEvent {
-            index,
-            mechanism: mechanism.name(),
-            policy: &policy_label,
-            query: &query_label,
-            bins: task.bins(),
-            trials: 1,
-            guarantee,
-            policy_version: version,
-        })?;
-        // Interned stream label: same content as the historical
-        // `format!("release/{name}")`, built once per mechanism name.
-        let stream =
-            self.stream_labels.get_with(mechanism.name(), |name| format!("release/{name}"));
-        let mut rng = self.seeds.rng_for(&stream, index);
-        let mut estimate = Histogram::zeros(0);
-        mechanism.release_into(task, &mut rng, &mut estimate);
-        Ok(Release {
-            estimate,
-            mechanism: mechanism.name().to_string(),
-            policy: policy_label.to_string(),
-            guarantee,
-            index,
-        })
+        let version = self.audit.current_version();
+        let task = self.scan_under(query, Some(&policy), &label, version)?.into_task()?;
+        let fixed = Derive::Fixed { input: &task, label, policy: Some(policy) };
+        self.release_one(query.label(), fixed, mechanism)
     }
 
     /// Releases an **externally derived** task through the session's full
@@ -1108,28 +900,161 @@ impl<R> OsdpSession<R> {
     /// **The caller owns the task's provenance** — it must have been derived
     /// under this session's policy regime (summing per-window `(x, x_ns)`
     /// pairs preserves the domination invariant, which
-    /// [`HistogramTask::new`] re-validates on construction).
+    /// [`HistogramTask::new`] re-validates on construction). An epoch race
+    /// cannot re-derive an external task, so the record is stamped with the
+    /// version in force at its index under the current epoch's label; the
+    /// streaming plane meets its provenance obligation across transitions
+    /// by invalidating window tasks at the transition point.
     pub fn release_task(
         &self,
         label: &str,
         task: &HistogramTask,
         mechanism: &dyn HistogramMechanism,
     ) -> Result<Release> {
-        let query_label = self.labels.get(label);
-        // The task is externally derived, so an epoch race cannot re-derive
-        // it — the record is stamped with the version in force at its index
-        // under the current epoch's label, and the caller's provenance
-        // obligation extends to transitions (the streaming plane meets it by
-        // invalidating window tasks at the transition point).
-        let policy_label = match self.current_epoch() {
-            Some(e) => Arc::clone(&e.label),
-            None => Arc::clone(&self.policy_label),
-        };
+        let fixed = Derive::Fixed { input: task, label: self.current_policy_label(), policy: None };
+        self.release_one(label, fixed, mechanism)
+    }
+
+    /// The sampling tail shared by every single release — one-shot,
+    /// override and task-level alike: grant, then sample on the `(seed,
+    /// "release/<mechanism>", index)` stream. Keeping them on one function
+    /// is what keeps the stream plane's bitwise-parity contract with the
+    /// one-shot oracle honest.
+    fn release_one<T: GrantInput + std::ops::Deref<Target = HistogramTask>>(
+        &self,
+        query: &str,
+        derive: Derive<'_, R, T>,
+        mechanism: &dyn HistogramMechanism,
+    ) -> Result<Release> {
         let guarantee = mechanism.guarantee();
-        self.accountant
-            .spend(mechanism.name(), &*policy_label, guarantee.epsilon(), guarantee.kind())
-            .map_err(|e| self.wal_refused(mechanism.name(), guarantee.epsilon(), e))?;
-        self.sample_granted_release(task, mechanism, guarantee, policy_label, query_label, 0, None)
+        let (index, policy, task) = self.grant(
+            query,
+            derive,
+            &[(mechanism.name(), guarantee)],
+            1,
+            |index, label, task| (index, label.to_string(), task),
+        )?;
+        // Interned stream label: same content as the historical
+        // `format!("release/{name}")`, built once per mechanism name.
+        let stream =
+            self.stream_labels.get_with(mechanism.name(), |name| format!("release/{name}"));
+        let mut rng = self.seeds.rng_for(&stream, index);
+        let mut estimate = Histogram::zeros(0);
+        mechanism.release_into(&task, &mut rng, &mut estimate);
+        Ok(Release { estimate, mechanism: mechanism.name().to_string(), policy, guarantee, index })
+    }
+
+    /// The one grant path every release takes before sampling. Sequential
+    /// composition (Theorem 3.3) requires the debit to precede the sample,
+    /// and the guarantee refers to the policies actually spent under:
+    ///
+    /// 1. capture the epoch once (one atomic load, no lock) and derive the
+    ///    input under it;
+    /// 2. admit every debit (`ε × trials` each) with **one** CAS on the
+    ///    accountant's fixed-point units — the sum of per-debit
+    ///    conversions, the same integer the audit log and the WAL
+    ///    accumulate. A refusal is logged to the WAL (best-effort: it
+    ///    spends nothing) and nothing is stamped or sampled;
+    /// 3. per debit, in order: stamp the audit record through
+    ///    [`AuditLog::append_versioned`] (index and version from one atomic
+    ///    add); if a transition raced in since the capture, relabel the
+    ///    record to the stamped epoch — installed before the counter bump,
+    ///    so always resolvable — and re-derive under it (shared through the
+    ///    version-keyed cache); then log the grant to the WAL. A WAL
+    ///    failure refuses the release with the ε still spent and audited —
+    ///    a sample must never outrun its durable record.
+    ///
+    /// `granted` receives each debit's `(index, policy label, input)` for
+    /// the caller to sample from; the grant returns what it returned for
+    /// the last debit.
+    fn grant<T: GrantInput, G>(
+        &self,
+        query: &str,
+        derive: Derive<'_, R, T>,
+        debits: &[(&str, Guarantee)],
+        trials: usize,
+        mut granted: impl FnMut(u64, &Arc<str>, T) -> G,
+    ) -> Result<G> {
+        if trials == 0 || debits.is_empty() {
+            return Err(OsdpError::InvalidInput(
+                "a release needs at least one mechanism and trials >= 1".into(),
+            ));
+        }
+        let captured = self.current_epoch();
+        let (input, label, rederive, new_policy) = match derive {
+            Derive::Epoch(derive) => {
+                let label = captured.map_or(&self.policy_label, |e| &e.label);
+                let rederive = captured.map(|e| (derive, e.version));
+                (derive(captured)?, Arc::clone(label), rederive, None)
+            }
+            Derive::Fixed { input, label, policy } => (input, label, None, policy),
+        };
+        let mut units = 0u64;
+        let mut requested = 0.0;
+        for &(_, guarantee) in debits {
+            let epsilon = validate_epsilon(guarantee.epsilon() * trials as f64)?;
+            units = units.saturating_add(epsilon_to_units(epsilon));
+            requested += epsilon;
+        }
+        if let Err(err) = self.accountant.spend_units(units, requested) {
+            if let Some(wal) = &self.wal {
+                let _ = match debits {
+                    [(mechanism, _)] => wal.log_refusal(mechanism, requested),
+                    _ => wal.log_refusal(&format!("pool[{}]", debits.len()), requested),
+                };
+            }
+            return Err(err);
+        }
+        if let Some(policy) = new_policy {
+            self.remember_policy(&label, policy);
+        }
+        let query = self.labels.get(query);
+        let mut last = None;
+        for &(mechanism, guarantee) in debits {
+            let mechanism_label = self.labels.get(mechanism);
+            let mut policy = Arc::clone(&label);
+            let mut stamped = None;
+            let (index, version) = self.audit.append_versioned(|index, version| {
+                if let (Some((_, captured)), Source::Records { epoch, .. }) =
+                    (rederive, &self.source)
+                {
+                    if version != captured {
+                        stamped = epoch.state(version);
+                        if let Some(state) = &stamped {
+                            policy = Arc::clone(&state.label);
+                        }
+                    }
+                }
+                AuditRecord {
+                    index,
+                    mechanism: mechanism_label,
+                    policy: Arc::clone(&policy),
+                    query: Arc::clone(&query),
+                    bins: input.bins(),
+                    trials,
+                    guarantee,
+                    policy_version: version,
+                }
+            });
+            let input = match (stamped, rederive) {
+                (Some(state), Some((derive, _))) => derive(Some(&state))?,
+                _ => input.clone(),
+            };
+            if let Some(wal) = &self.wal {
+                wal.log_grant(GrantEvent {
+                    index,
+                    mechanism,
+                    policy: &policy,
+                    query: &query,
+                    bins: input.bins(),
+                    trials,
+                    guarantee,
+                    policy_version: version,
+                })?;
+            }
+            last = Some(granted(index, &policy, input));
+        }
+        Ok(last.expect("debits checked non-empty"))
     }
 
     /// Releases `trials` independent estimates of the same query, one trial
@@ -1146,23 +1071,8 @@ impl<R> OsdpSession<R> {
         mechanism: &dyn HistogramMechanism,
         trials: usize,
     ) -> Result<Vec<Histogram>> {
-        let (task, index) = self.begin_trials(query, mechanism, trials)?;
-        // One stream-label format per batch (not per trial); the label
-        // content is unchanged, so streams are stable across versions.
-        let stream = format!("trials/{index}/{}", mechanism.name());
-        // Preallocated output arena: every estimate's buffer exists before
-        // the first worker runs, and each worker fills its slot through the
-        // buffer-reuse path (per-thread mechanism scratch included).
-        let mut arena: Vec<Histogram> = vec![Histogram::zeros(task.bins()); trials];
-        let slots: Vec<(u64, &mut Histogram)> =
-            arena.iter_mut().enumerate().map(|(trial, slot)| (trial as u64, slot)).collect();
-        let seeds = &self.seeds;
-        let task = &*task;
-        slots.into_par_iter().for_each(|(trial, slot)| {
-            let mut rng = seeds.rng_for(&stream, trial);
-            mechanism.release_into(task, &mut rng, slot);
-        });
-        Ok(arena)
+        let pool = self.release_pool(query, &[mechanism], trials)?;
+        Ok(pool.into_iter().next().map(|release| release.estimates).unwrap_or_default())
     }
 
     /// The sequential reference path for [`OsdpSession::release_trials`]:
@@ -1176,7 +1086,10 @@ impl<R> OsdpSession<R> {
         mechanism: &dyn HistogramMechanism,
         trials: usize,
     ) -> Result<Vec<Histogram>> {
-        let (task, index) = self.begin_trials(query, mechanism, trials)?;
+        let debit = [(mechanism.name(), mechanism.guarantee())];
+        let derive = Derive::Epoch(&|e| self.task_under(query, e));
+        let (index, task) =
+            self.grant(query.label(), derive, &debit, trials, |index, _, task| (index, task))?;
         let stream = format!("trials/{index}/{}", mechanism.name());
         Ok((0..trials as u64)
             .map(|trial| {
@@ -1208,97 +1121,29 @@ impl<R> OsdpSession<R> {
         pool: &[&dyn HistogramMechanism],
         trials: usize,
     ) -> Result<Vec<PoolRelease>> {
-        if trials == 0 {
-            return Err(OsdpError::InvalidInput("release_pool needs trials >= 1".into()));
-        }
-        if pool.is_empty() {
-            return Err(OsdpError::InvalidInput("release_pool needs a non-empty pool".into()));
-        }
-        // One epoch capture and one scan for the whole pool.
-        let (task, policy_label, captured_version, rederive) = match &self.source {
-            Source::Records { epoch, .. } => {
-                let e = epoch.current();
-                (
-                    self.cached_task_under(query, &e.policy, &e.label, e.version)?,
-                    Arc::clone(&e.label),
-                    e.version,
-                    true,
-                )
-            }
-            Source::Bound { .. } => {
-                (self.cached_task(query)?, Arc::clone(&self.policy_label), 0, false)
-            }
-        };
-        let query_label = self.labels.get(query.label());
-        let guarantees: Vec<Guarantee> = pool.iter().map(|m| m.guarantee()).collect();
-
-        // One atomic grant for the whole batch: the accountant's batch spend
-        // admits or refuses the pool at a single CAS (all-or-nothing), then
-        // the audit records are appended in pool order. The debit entries
-        // are identical to what a sequential per-mechanism release_trials
-        // loop would record.
-        let debits: Vec<_> = pool
-            .iter()
-            .zip(&guarantees)
-            .map(|(mechanism, guarantee)| {
-                (
-                    format!("{} x{}", mechanism.name(), trials),
-                    policy_label.to_string(),
-                    guarantee.epsilon() * trials as f64,
-                    guarantee.kind(),
-                )
-            })
-            .collect();
-        let batch_epsilon: f64 = debits.iter().map(|d| d.2).sum();
-        self.accountant
-            .spend_batch(&debits)
-            .map_err(|e| self.wal_refused(&format!("pool[{}]", pool.len()), batch_epsilon, e))?;
-        let mut indices = Vec::with_capacity(pool.len());
+        let debits: Vec<(&str, Guarantee)> =
+            pool.iter().map(|m| (m.name(), m.guarantee())).collect();
         // Per-mechanism tasks: identical Arcs in the steady state; a
         // transition racing the batch re-derives the affected suffix of the
-        // pool under its stamped epoch (shared through the cache).
-        let mut tasks: Vec<Arc<HistogramTask>> = Vec::with_capacity(pool.len());
-        for (mechanism, guarantee) in pool.iter().zip(&guarantees) {
-            let mechanism_label = self.labels.get(mechanism.name());
-            let (index, version, label, stamped) = self.stamp_release(
-                captured_version,
-                rederive,
-                Arc::clone(&policy_label),
-                mechanism_label,
-                &query_label,
-                task.bins(),
-                trials,
-                *guarantee,
-            );
-            let mech_task = match &stamped {
-                Some(state) => {
-                    self.cached_task_under(query, &state.policy, &state.label, state.version)?
-                }
-                None => Arc::clone(&task),
-            };
-            self.wal_grant(GrantEvent {
-                index,
-                mechanism: mechanism.name(),
-                policy: &label,
-                query: &query_label,
-                bins: mech_task.bins(),
-                trials,
-                guarantee: *guarantee,
-                policy_version: version,
-            })?;
-            indices.push(index);
-            tasks.push(mech_task);
-        }
+        // pool under its stamped epoch.
+        let mut granted = Vec::with_capacity(pool.len());
+        let derive = Derive::Epoch(&|e| self.task_under(query, e));
+        self.grant(query.label(), derive, &debits, trials, |index, _, task| {
+            granted.push((index, task))
+        })?;
 
-        // Streams are keyed exactly as release_trials keys them, so the pool
+        // Streams are keyed by `(release index, mechanism)`, so the pool
         // batch reproduces the sequential per-mechanism loop bitwise.
         let streams: Vec<String> = pool
             .iter()
-            .zip(&indices)
-            .map(|(mechanism, index)| format!("trials/{index}/{}", mechanism.name()))
+            .zip(&granted)
+            .map(|(mechanism, (index, _))| format!("trials/{index}/{}", mechanism.name()))
             .collect();
+        // Preallocated output arena: every estimate's buffer exists before
+        // the first worker runs, and each worker fills its slot through the
+        // buffer-reuse path (per-thread mechanism scratch included).
         let mut arenas: Vec<Vec<Histogram>> =
-            (0..pool.len()).map(|_| vec![Histogram::zeros(task.bins()); trials]).collect();
+            granted.iter().map(|(_, task)| vec![Histogram::zeros(task.bins()); trials]).collect();
         let slots: Vec<(usize, u64, &mut Histogram)> = arenas
             .iter_mut()
             .enumerate()
@@ -1307,93 +1152,23 @@ impl<R> OsdpSession<R> {
             })
             .collect();
         let seeds = &self.seeds;
-        let tasks_ref = &tasks;
         slots.into_par_iter().for_each(|(mech, trial, slot)| {
             let mut rng = seeds.rng_for(&streams[mech], trial);
-            pool[mech].release_into(&tasks_ref[mech], &mut rng, slot);
+            pool[mech].release_into(&granted[mech].1, &mut rng, slot);
         });
 
         Ok(pool
             .iter()
-            .zip(indices)
-            .zip(guarantees)
+            .zip(debits)
+            .zip(granted)
             .zip(arenas)
-            .map(|(((mechanism, index), guarantee), estimates)| PoolRelease {
+            .map(|(((mechanism, (_, guarantee)), (index, _)), estimates)| PoolRelease {
                 mechanism: mechanism.name().to_string(),
                 index,
                 guarantee,
                 estimates,
             })
             .collect())
-    }
-
-    /// Shared preamble of the batch paths: capture the epoch, derive the
-    /// task (cached), debit the whole batch, append the audit record,
-    /// allocate the release index — re-deriving under the stamped epoch if a
-    /// transition raced the batch.
-    fn begin_trials(
-        &self,
-        query: &SessionQuery<R>,
-        mechanism: &dyn HistogramMechanism,
-        trials: usize,
-    ) -> Result<(Arc<HistogramTask>, u64)> {
-        if trials == 0 {
-            return Err(OsdpError::InvalidInput("release_trials needs trials >= 1".into()));
-        }
-        let (task, policy_label, captured_version, rederive) = match &self.source {
-            Source::Records { epoch, .. } => {
-                let e = epoch.current();
-                (
-                    self.cached_task_under(query, &e.policy, &e.label, e.version)?,
-                    Arc::clone(&e.label),
-                    e.version,
-                    true,
-                )
-            }
-            Source::Bound { .. } => {
-                (self.cached_task(query)?, Arc::clone(&self.policy_label), 0, false)
-            }
-        };
-        let guarantee = mechanism.guarantee();
-        let mechanism_label = self.labels.get(mechanism.name());
-        let query_label = self.labels.get(query.label());
-        self.accountant
-            .spend(
-                format!("{} x{}", mechanism.name(), trials),
-                &*policy_label,
-                guarantee.epsilon() * trials as f64,
-                guarantee.kind(),
-            )
-            .map_err(|e| {
-                self.wal_refused(mechanism.name(), guarantee.epsilon() * trials as f64, e)
-            })?;
-        let (index, version, label, stamped) = self.stamp_release(
-            captured_version,
-            rederive,
-            policy_label,
-            mechanism_label,
-            &query_label,
-            task.bins(),
-            trials,
-            guarantee,
-        );
-        let task = match &stamped {
-            Some(state) => {
-                self.cached_task_under(query, &state.policy, &state.label, state.version)?
-            }
-            None => task,
-        };
-        self.wal_grant(GrantEvent {
-            index,
-            mechanism: mechanism.name(),
-            policy: &label,
-            query: &query_label,
-            bins: task.bins(),
-            trials,
-            guarantee,
-            policy_version: version,
-        })?;
-        Ok((task, index))
     }
 
     /// Transitions the session to a new policy epoch — the **slow path** of
@@ -1582,43 +1357,15 @@ impl<R: Clone> OsdpSession<R> {
                     .into(),
             ));
         };
-        let e = epoch.current();
-        let (mut policy, policy_label, captured_version) =
-            (Arc::clone(&e.policy), Arc::clone(&e.label), e.version);
-        let guarantee = Guarantee::Osdp { eps: mechanism.epsilon() };
-        let mechanism_label = self.labels.get("OsdpRR (records)");
-        let query_label = self.labels.get("record-sample");
-        self.accountant
-            .spend("OsdpRR (records)", &*policy_label, guarantee.epsilon(), guarantee.kind())
-            .map_err(|e| self.wal_refused("OsdpRR (records)", guarantee.epsilon(), e))?;
-        let (index, version, label, stamped) = self.stamp_release(
-            captured_version,
-            true,
-            policy_label,
-            mechanism_label,
-            &query_label,
-            0,
-            1,
-            guarantee,
-        );
-        if let Some(state) = stamped {
-            // A transition raced in: the sample must be drawn under the
-            // stamped epoch's policy, matching the record's stamp.
-            policy = Arc::clone(&state.policy);
-        }
-        self.wal_grant(GrantEvent {
-            index,
-            mechanism: "OsdpRR (records)",
-            policy: &label,
-            query: "record-sample",
-            bins: 0,
-            trials: 1,
-            guarantee,
-            policy_version: version,
-        })?;
+        // The sample is drawn under the stamped epoch's policy, so a
+        // transition racing the grant swaps the policy, matching the stamp.
+        let derive =
+            Derive::Epoch(&|e| Ok(Arc::clone(&e.unwrap_or_else(|| epoch.current()).policy)));
+        let debit = [("OsdpRR (records)", Guarantee::Osdp { eps: mechanism.epsilon() })];
+        let (index, policy) =
+            self.grant("record-sample", derive, &debit, 1, |index, _, policy| (index, policy))?;
         let mut rng = self.seeds.rng_for("release-records/OsdpRR", index);
-        let sample = mechanism.release(db, policy.as_ref(), &mut rng);
-        Ok(sample)
+        Ok(mechanism.release(db, policy.as_ref(), &mut rng))
     }
 
     /// Number of records in a record-backed session's backend.

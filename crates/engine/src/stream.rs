@@ -524,7 +524,7 @@ impl<R: Send + Sync + 'static> StreamSession<R> {
         self.begin_window(window)?;
         let cost: f64 = pool.iter().map(|m| m.guarantee().epsilon() * trials as f64).sum();
         // Frame accounting in units, summed per mechanism exactly as the
-        // accountant's spend_batch sums its debits — the ceiling conversion
+        // session's grant path sums its debits — the ceiling conversion
         // is subadditive, so converting the float sum once would record
         // fewer units than the grant path debits.
         let cost_units = pool.iter().fold(0u64, |units, m| {

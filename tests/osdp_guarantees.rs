@@ -8,6 +8,7 @@ use osdp::core::neighbors::{is_one_sided_neighbor, one_sided_neighbors};
 use osdp::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use std::sync::Arc;
 
 fn value_policy() -> ClosurePolicy<u32> {
     ClosurePolicy::new("upper-half-sensitive", |&v: &u32| v >= 4)
@@ -102,21 +103,33 @@ fn one_sided_laplace_density_ratio_proves_theorem_5_2() {
 
 #[test]
 fn composition_of_osdp_mechanisms_is_tracked_with_minimum_relaxation() {
+    let minors = || AttributePolicy::sensitive_when("age", |v| v.as_int().unwrap_or(99) <= 17);
+    let optout = || AttributePolicy::opt_in("opt_in");
+    let db: Database = (0..40i64)
+        .map(|i| Record::builder().field("age", 5 + i).field("opt_in", i % 3 == 0).build())
+        .collect();
     // Dyadic epsilons: exact at the accountant's fixed-point resolution, so
     // they cover the cap exactly even under ceiling rounding.
-    let accountant = BudgetAccountant::with_limit(1.0).unwrap();
-    accountant.spend("OsdpRR", "P_minors", 0.375, PrivacyGuarantee::OneSided).unwrap();
-    accountant.spend("OsdpLaplaceL1", "P_optout", 0.625, PrivacyGuarantee::OneSided).unwrap();
-    let (eps, policies) = accountant.composed_guarantee();
+    let session =
+        SessionBuilder::new(db).policy(minors(), "P_minors").budget(1.0).seed(5).build().unwrap();
+    session.release_records(&OsdpRr::new(0.375).unwrap()).unwrap();
+    let by_age = SessionQuery::count_by_int_linear("age-decades", "age", 0, 10, 5);
+    session
+        .release_with_policy(
+            &by_age,
+            &OsdpLaplaceL1::new(0.625).unwrap(),
+            Arc::new(optout()),
+            "P_optout",
+        )
+        .unwrap();
+    let (eps, policies) = session.composed_guarantee();
     assert!((eps - 1.0).abs() < 1e-12);
     assert_eq!(policies, vec!["P_minors".to_string(), "P_optout".to_string()]);
-    assert!(accountant.spend("extra", "P_minors", 0.2, PrivacyGuarantee::OneSided).is_err());
+    assert!(session.release(&by_age, &OsdpLaplaceL1::new(0.2).unwrap()).is_err());
 
     // The actual minimum-relaxation policy object behaves as Definition 3.6
     // dictates.
-    let minors = AttributePolicy::sensitive_when("age", |v| v.as_int().unwrap_or(99) <= 17);
-    let optout = AttributePolicy::opt_in("opt_in");
-    let pmr = MinimumRelaxation::of_two(minors, optout);
+    let pmr = MinimumRelaxation::of_two(minors(), optout());
     let both = Record::builder().field("age", 10i64).field("opt_in", false).build();
     let only_minor = Record::builder().field("age", 10i64).field("opt_in", true).build();
     assert!(pmr.is_sensitive(&both));

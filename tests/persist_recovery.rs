@@ -188,6 +188,47 @@ fn refusals_and_snapshots_survive_restart() {
 }
 
 #[test]
+fn composed_guarantee_lists_pre_crash_policies_after_recovery() {
+    let root = temp_root("composed");
+    let dir = root.join("tenant");
+    let db: Database = (0..60i64).map(|i| Record::builder().field("age", i).build()).collect();
+    let session_over = |persistence| {
+        SessionBuilder::new(db.clone())
+            .policy(AttributePolicy::int_at_most("age", 17), "P-minors")
+            .budget(2.0)
+            .seed(13)
+            .durable(persistence)
+            .build()
+            .unwrap()
+    };
+    let query = SessionQuery::count_by_int_linear("age-decades", "age", 0, 10, 6);
+    let m = OsdpLaplaceL1::new(0.25).unwrap();
+
+    let first = session_over(SessionPersistence::open(&dir, SyncPolicy::Always).unwrap());
+    let seniors: Arc<dyn Policy<Record>> = Arc::new(AttributePolicy::int_at_most("age", 49));
+    let teens: Arc<dyn Policy<Record>> = Arc::new(AttributePolicy::int_at_most("age", 19));
+    first.release_with_policy(&query, &m, seniors, "P-under-50").unwrap();
+    first.release_with_policy(&query, &m, teens, "P-under-20").unwrap();
+    let spent_units = first.accountant().total_spent_units();
+    let expected = vec!["P-under-50".to_string(), "P-under-20".to_string()];
+    assert_eq!(first.composed_guarantee().1, expected);
+
+    // Crash (the LOCK file is left behind), clear the lock, reopen.
+    first.persistence().unwrap().crash(0.0).unwrap();
+    drop(first);
+    assert!(force_unlock(&dir).unwrap());
+    let second = session_over(SessionPersistence::open(&dir, SyncPolicy::Always).unwrap());
+
+    // The recovered session reports the pre-crash ε *and* the policies it
+    // was spent under, in first-use order.
+    assert_eq!(second.accountant().total_spent_units(), spent_units);
+    let (eps, policies) = second.composed_guarantee();
+    assert_eq!(eps, 0.5);
+    assert_eq!(policies, expected);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn a_second_writer_is_refused_until_force_unlock() {
     let root = temp_root("lock");
     let dir = root.join("tenant");
