@@ -165,12 +165,20 @@ impl Histogram {
     }
 
     /// Clamps every count to be at least zero (a common post-processing step
-    /// that never hurts the privacy guarantee).
+    /// that never hurts the privacy guarantee). `-0.0` and NaN are left as
+    /// they are, since neither compares below zero.
+    ///
+    /// The loop is written as an unconditional select, not as
+    /// `if *c < 0.0 { *c = 0.0 }`. After one-sided noise at small ε a bin is
+    /// clamped with probability e^(−ε·x), so for counts up to a few 1/ε the
+    /// outcome is close to a coin flip per bin, and a branch on it
+    /// mispredicts about half the time. The select has no branch to
+    /// mispredict (the optimiser can lower it to a vector compare and mask)
+    /// and writes the same bits as the `if` form for every input. Do not
+    /// replace it with `f64::max`, which differs on `-0.0` and NaN.
     pub fn clamp_non_negative(&mut self) {
         for c in &mut self.counts {
-            if *c < 0.0 {
-                *c = 0.0;
-            }
+            *c = if *c < 0.0 { 0.0 } else { *c };
         }
     }
 
@@ -354,6 +362,17 @@ mod tests {
         h.clamp_non_negative();
         assert!(h.is_non_negative());
         assert_eq!(h.counts(), &[0.0, 0.5, 0.0]);
+
+        // Edge values, bitwise: only values that compare below zero become
+        // `+0.0`; `-0.0` and NaN (whatever its payload) pass through.
+        let nan = f64::from_bits(0x7ff8_0000_0000_0abc);
+        let edges =
+            [-0.0, f64::NAN, nan, -nan, f64::INFINITY, f64::NEG_INFINITY, -f64::MIN_POSITIVE];
+        let mut h = Histogram::from_counts(edges.to_vec());
+        h.clamp_non_negative();
+        let expected = [-0.0, f64::NAN, nan, -nan, f64::INFINITY, 0.0, 0.0];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(h.counts()), bits(&expected));
 
         let small = Histogram::from_counts(vec![1.0, 2.0]);
         let big = Histogram::from_counts(vec![1.0, 3.0]);

@@ -324,10 +324,14 @@
 //!   the grant call returns — a release is durable before its sample
 //!   exists, at one fsync per grant. `EveryN(n)` amortizes the fsync; a
 //!   crash loses at most the last `n − 1` grants, so the recovered total
-//!   *under*-counts and the session refuses strictly less than the cap
-//!   allows — the safe direction for a privacy ledger (budget is never
-//!   resurrected, spend is never forgotten upward). `OnDrop` is the
-//!   in-memory-comparable fast path for tests and bulk loads.
+//!   *under*-counts. That is **not** a safe direction: the lost frames'
+//!   samples were already released before the crash, so the recovered
+//!   session reports less spent ε than was released and grants the
+//!   difference again, and the tenant's lifetime release can exceed its
+//!   cap. `OnDrop` is the in-memory-comparable fast path for tests and
+//!   bulk loads and has the same hole for every grant since the last
+//!   sync. Making the buffered policies sound (budget leases) is open
+//!   item 1 in `ROADMAP.md`.
 //!   `GroupCommit` ([`SyncPolicy::group_commit`]) keeps the `Always`
 //!   guarantee — every grant call returns only after **its own** frame is
 //!   fsync'd, still before any noise is sampled — but routes frames

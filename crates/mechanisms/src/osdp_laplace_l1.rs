@@ -42,6 +42,8 @@ impl OsdpLaplaceL1 {
 
     /// Runs Algorithm 2 on a non-sensitive histogram (the scalar reference
     /// path; [`OsdpLaplaceL1::perturb_into`] is the buffer-reuse equivalent).
+    /// Its de-bias keeps the literal per-bin `if` of the paper, so it is the
+    /// oracle for the branch-free form.
     pub fn perturb<G: Rng + ?Sized>(&self, non_sensitive: &Histogram, rng: &mut G) -> Histogram {
         // Step 1: one-sided noise.
         let mut noisy = self.inner.perturb(non_sensitive, rng);
@@ -58,7 +60,18 @@ impl OsdpLaplaceL1 {
     }
 
     /// The buffer-reuse form of [`OsdpLaplaceL1::perturb`]: Algorithm 2
-    /// written into `out` through the block fill kernel.
+    /// written into `out` through the block fill kernel, bitwise-identical
+    /// to the scalar path and drawing the same random values.
+    ///
+    /// The clamp ([`Histogram::clamp_non_negative`]) and the de-bias are
+    /// unconditional selects rather than per-bin `if`s. At small ε a bin
+    /// with count x survives the clamp with probability 1 − e^(−ε·x), which
+    /// for x up to a few 1/ε is close to a coin flip per bin, so a branch
+    /// on it mispredicts about half the bins. The select computes
+    /// `value + correction` for every bin and keeps it only where
+    /// `value > 0.0`, which gives the same bits as the `if` form: `0.0`,
+    /// `-0.0` and NaN come out unchanged. (Adding `0.0` to the bins that
+    /// are not positive instead would turn `-0.0` into `0.0`.)
     pub fn perturb_into<G: Rng + ?Sized>(
         &self,
         non_sensitive: &Histogram,
@@ -72,9 +85,7 @@ impl OsdpLaplaceL1 {
         // Steps 3–4: de-bias the surviving positive counts by the median.
         let correction = self.median_correction();
         for value in out.counts_mut() {
-            if *value > 0.0 {
-                *value += correction;
-            }
+            *value = if *value > 0.0 { *value + correction } else { *value };
         }
     }
 }
@@ -108,7 +119,7 @@ mod tests {
     use crate::laplace::DpLaplaceHistogram;
     use crate::traits::task_from_counts;
     use osdp_metrics::l1_error;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
     fn rng() -> ChaCha12Rng {
@@ -123,6 +134,57 @@ mod tests {
         assert!((m.median_correction() - std::f64::consts::LN_2 / 0.5).abs() < 1e-12);
         assert_eq!(m.name(), "OsdpLaplaceL1");
         assert!(!m.guarantee().is_differentially_private());
+    }
+
+    #[test]
+    fn release_into_matches_release_bitwise_when_clamps_are_coin_flips() {
+        // At ε ≤ 0.01 and counts 0–200 a bin is clamped with probability
+        // e^(−ε·x) ≥ 0.13, so clamp outcomes vary from bin to bin. Lengths
+        // straddle the 256-value block of the noise kernel.
+        for eps in [0.01, 0.001] {
+            let m = OsdpLaplaceL1::new(eps).unwrap();
+            for len in [1usize, 255, 256, 257, 1024, 4097] {
+                let counts: Vec<f64> = (0..len)
+                    .map(|i| if i % 7 == 3 { 0.0 } else { ((i * 7919 + len) % 201) as f64 })
+                    .collect();
+                let task = task_from_counts(&counts, &counts).unwrap();
+                let seed = len as u64 ^ eps.to_bits();
+
+                let mut reference_rng = ChaCha12Rng::seed_from_u64(seed);
+                let reference = m.release(&task, &mut reference_rng);
+                let mut reuse_rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut out = Histogram::zeros(3);
+                m.release_into(&task, &mut reuse_rng, &mut out);
+
+                // Algorithm 2 spelled out with per-bin `if`s on the raw
+                // one-sided noise, independent of `clamp_non_negative`.
+                let mut literal_rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut literal = m.inner.perturb(task.non_sensitive(), &mut literal_rng);
+                for value in literal.counts_mut() {
+                    if *value < 0.0 {
+                        *value = 0.0;
+                    }
+                    if *value > 0.0 {
+                        *value += m.median_correction();
+                    }
+                }
+
+                assert_eq!(out.len(), len);
+                if len > 1 {
+                    let clamped = reference.counts().iter().filter(|&&c| c == 0.0).count();
+                    assert!(clamped > 0 && clamped < len, "eps {eps}, len {len}: {clamped}");
+                }
+                for (bin, ((a, b), c)) in
+                    reference.counts().iter().zip(out.counts()).zip(literal.counts()).enumerate()
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "eps {eps}, len {len}, bin {bin}");
+                    assert_eq!(a.to_bits(), c.to_bits(), "eps {eps}, len {len}, bin {bin}");
+                }
+                let residual = reference_rng.next_u64();
+                assert_eq!(residual, reuse_rng.next_u64(), "eps {eps}, len {len}: draws");
+                assert_eq!(residual, literal_rng.next_u64(), "eps {eps}, len {len}: draws");
+            }
+        }
     }
 
     #[test]

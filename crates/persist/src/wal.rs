@@ -32,12 +32,16 @@ pub enum SyncPolicy {
     Always,
     /// Flush + fsync once every `n` appends (and on drop / snapshot). A
     /// crash loses at most the last `n − 1` grants — the recovered spent
-    /// total is then *under* the true total, which refuses strictly less
-    /// than the cap allows (the safe direction for a privacy ledger).
+    /// total is then *under* the true total. This is the unsafe direction
+    /// for a privacy ledger: those grants' samples may already have been
+    /// released, so after recovery the tenant can spend the lost budget
+    /// again and release more than its cap in total. Open item 1 in
+    /// `ROADMAP.md` tracks the fix (budget leases).
     EveryN(u32),
     /// Flush + fsync only on drop, snapshot, or an explicit sync. The
     /// in-memory-comparable fast path; a hard kill can lose every grant
-    /// since the last snapshot.
+    /// since the last snapshot, with the same unsafe under-count as
+    /// `EveryN`.
     OnDrop,
     /// **Group commit**: `Always`-grade durability per grant at amortized
     /// fsync cost under concurrency. Appenders encode their frame and hand
