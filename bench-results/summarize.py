@@ -43,6 +43,12 @@ ENTRIES = [
         "dir": "wide-keystream",
         "claimed": {"recover-heal": ["rel_per_s"]},
     },
+    {
+        "entry": 15,
+        "change": "Four osdp-bench serving benches and SyncPolicy::OnDrop retired (no gain claimed)",
+        "dir": "one-serving-bench",
+        "claimed": {},
+    },
 ]
 
 

@@ -1,11 +1,19 @@
 //! Shared helpers for the Criterion benchmark harness.
 //!
-//! The benches regenerate every table and figure of the paper on a reduced
-//! configuration (so `cargo bench` completes in minutes) and additionally
-//! time the individual mechanisms and the design-choice ablations of
-//! `benches/ablations.rs`. The figure *values* are produced by the `osdp-experiments`
-//! binaries; the benches exist to (a) exercise exactly the same code paths
-//! under measurement and (b) track performance regressions of the mechanisms.
+//! The benches cover the paper's evaluation and the release path; serving
+//! performance (grant path, WAL sync policies, backend scans, epoch bumps)
+//! is measured by the `servebench` package instead.
+//!
+//! * `figures` regenerates every table and figure of the paper on a reduced
+//!   configuration, so `cargo bench` completes in minutes. The figure
+//!   *values* come from the `osdp-experiments` binaries; the bench tracks
+//!   the cost of the same code paths.
+//! * `ablations` times and reports the design-choice ablations.
+//! * `mechanisms_micro` times each mechanism on a 4096-bin task.
+//! * `mechanism_release` compares `release_into` with the scalar `release`
+//!   oracle and times `release_pool`.
+//! * `session_trials` compares rayon `release_trials` with the serial loop.
+//! * `stream_throughput` measures the streaming plane in windows/second.
 
 use osdp_data::tippers::TippersConfig;
 use osdp_experiments::ExperimentConfig;

@@ -328,10 +328,10 @@
 //!   samples were already released before the crash, so the recovered
 //!   session reports less spent ε than was released and grants the
 //!   difference again, and the tenant's lifetime release can exceed its
-//!   cap. `OnDrop` is the in-memory-comparable fast path for tests and
-//!   bulk loads and has the same hole for every grant since the last
-//!   sync. Making the buffered policies sound (budget leases) is open
-//!   item 1 in `ROADMAP.md`.
+//!   cap. Tests and bulk loads that want no fsync until an explicit
+//!   `sync` or drop use `EveryN(u32::MAX)`, with the same hole for every
+//!   grant since the last sync. Making `EveryN` sound (budget leases) is
+//!   open item 1 in `ROADMAP.md`.
 //!   `GroupCommit` ([`SyncPolicy::group_commit`]) keeps the `Always`
 //!   guarantee — every grant call returns only after **its own** frame is
 //!   fsync'd, still before any noise is sampled — but routes frames

@@ -38,10 +38,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default shard count: enough that 8–16 serving threads touching random
-/// tenants rarely share a shard, cheap enough to iterate for pool-wide
-/// reports.
-const DEFAULT_POOL_SHARDS: usize = 16;
+/// Shard count of the tenant map: enough that 8–16 serving threads
+/// touching random tenants rarely share a shard, cheap enough to iterate
+/// for pool-wide reports.
+const POOL_SHARDS: usize = 16;
 
 /// One shard of the tenant map.
 type Shard<R> = RwLock<HashMap<Arc<str>, Arc<OsdpSession<R>>>>;
@@ -188,7 +188,13 @@ pub struct SessionPool<R = Record> {
 
 impl<R> Default for SessionPool<R> {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_POOL_SHARDS)
+        Self {
+            shards: (0..POOL_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            persist: None,
+            health: RwLock::new(HashMap::new()),
+            health_policy: HealthPolicy::default(),
+            incident: RwLock::new(None),
+        }
     }
 }
 
@@ -202,20 +208,9 @@ impl<R> std::fmt::Debug for SessionPool<R> {
 }
 
 impl<R> SessionPool<R> {
-    /// An empty pool with the default shard count.
+    /// An empty in-memory pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty pool with an explicit shard count (at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| RwLock::new(HashMap::new())).collect(),
-            persist: None,
-            health: RwLock::new(HashMap::new()),
-            health_policy: HealthPolicy::default(),
-            incident: RwLock::new(None),
-        }
     }
 
     /// The open [`crate::supervisor::DeviceIncident`], as last published by
@@ -262,9 +257,7 @@ impl<R> SessionPool<R> {
         let dir = dir.into();
         vfs.create_dir_all(&dir)
             .map_err(|e| OsdpError::Persist(persist_error(PersistOp::CreateDir, &dir, &e)))?;
-        let mut pool = Self::with_shards(DEFAULT_POOL_SHARDS);
-        pool.persist = Some(PoolPersistence { dir, sync, options, vfs });
-        Ok(pool)
+        Ok(Self { persist: Some(PoolPersistence { dir, sync, options, vfs }), ..Self::default() })
     }
 
     /// The durable pool root, if this pool persists its tenants.

@@ -23,7 +23,7 @@
 //!
 //! ## Write paths
 //!
-//! The buffered policies (`Always`, `EveryN`, `OnDrop`) append under the
+//! The buffered policies (`Always`, `EveryN`) append under the
 //! inner mutex: encode into the writer's reused buffers, flush per policy.
 //! [`SyncPolicy::GroupCommit`] appends **lock-free**: the appender encodes
 //! its frame, hands it to the per-ledger committer thread
@@ -582,7 +582,6 @@ impl TenantLedger {
         let flush = match self.sync {
             SyncPolicy::Always => true,
             SyncPolicy::EveryN(n) => inner.unsynced >= n.max(1),
-            SyncPolicy::OnDrop => false,
             SyncPolicy::GroupCommit { .. } => unreachable!("handled above"),
         };
         if flush {
@@ -1095,7 +1094,8 @@ mod tests {
     fn clean_shutdown_recovers_everything() {
         let dir = tmp_dir("clean");
         {
-            let (ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+            let (ledger, recovered) =
+                TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
             assert!(recovered.is_fresh());
             for i in 0..5 {
                 ledger.append_grant(&grant(i, 100)).unwrap();
@@ -1108,7 +1108,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        let (ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert_eq!(recovered.grants.len(), 5);
         assert_eq!(recovered.spent_units(), 500);
         assert_eq!(recovered.audit_seq(), 5);
@@ -1184,7 +1184,7 @@ mod tests {
     fn torn_tail_is_truncated_on_recovery() {
         let dir = tmp_dir("torn");
         {
-            let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+            let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
             for i in 0..4 {
                 ledger.append_grant(&grant(i, 250)).unwrap();
             }
@@ -1195,7 +1195,7 @@ mod tests {
         let peek = TenantLedger::peek(&dir).unwrap();
         assert!(peek.truncated_bytes > 0, "the torn frame is detected");
         assert!(peek.grants.len() < 4);
-        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert_eq!(recovered.grants.len(), peek.grants.len());
         assert_eq!(recovered.spent_units(), 250 * peek.grants.len() as u64);
         // Open rewrote the file: a second recovery sees a clean log.
@@ -1210,7 +1210,7 @@ mod tests {
     fn rotation_collapses_history_and_survives() {
         let dir = tmp_dir("rotate");
         {
-            let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+            let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
             for i in 0..6 {
                 ledger.append_grant(&grant(i, 100)).unwrap();
             }
@@ -1219,7 +1219,7 @@ mod tests {
                 ledger.append_grant(&grant(i, 100)).unwrap();
             }
         }
-        let (ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert_eq!(recovered.base.generation, 1);
         assert_eq!(recovered.base.counters.spent_units, 600);
         assert_eq!(recovered.grants.len(), 2, "only the tail is replayed");
@@ -1282,12 +1282,12 @@ mod tests {
     #[test]
     fn second_writer_is_refused_while_locked() {
         let dir = tmp_dir("lock");
-        let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
-        let err = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap_err();
+        let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
+        let err = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap_err();
         assert!(err.to_string().contains("locked"));
         drop(ledger);
         // A clean drop releases the lock.
-        let (_again, _) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (_again, _) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1349,13 +1349,14 @@ mod tests {
         let dir = tmp_dir("auto-rotate");
         let options = LedgerOptions { auto_snapshot_every: Some(8), ..LedgerOptions::default() };
         {
-            let (ledger, _) = TenantLedger::open_with(&dir, SyncPolicy::OnDrop, options).unwrap();
+            let (ledger, _) =
+                TenantLedger::open_with(&dir, SyncPolicy::EveryN(u32::MAX), options).unwrap();
             for i in 0..20 {
                 ledger.append_grant(&grant(i, 100)).unwrap();
             }
         }
         let (ledger, recovered) =
-            TenantLedger::open_with(&dir, SyncPolicy::OnDrop, options).unwrap();
+            TenantLedger::open_with(&dir, SyncPolicy::EveryN(u32::MAX), options).unwrap();
         // 20 appends with rotations at 8 and 16: the tail replays ≤ 8.
         assert_eq!(recovered.base.generation, 2);
         assert_eq!(recovered.grants.len(), 4);
@@ -1381,7 +1382,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // A pid above the kernel's default pid_max cannot be running.
         std::fs::write(dir.join(LOCK_FILE), format!("999999999\n{}\n", boot_token())).unwrap();
-        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert!(recovered.report.cleared_stale_lock);
         assert!(recovered.report.notes.iter().any(|n| n.contains("dead pid")));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1398,7 +1399,7 @@ mod tests {
             format!("{}\nnot-this-boot-token\n", std::process::id()),
         )
         .unwrap();
-        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert!(recovered.report.cleared_stale_lock);
         assert!(recovered.report.notes.iter().any(|n| n.contains("previous boot")));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1409,10 +1410,10 @@ mod tests {
         let dir = tmp_dir("stale-lock-garbage");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(LOCK_FILE), "not a pid\n").unwrap();
-        let err = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap_err();
+        let err = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap_err();
         assert!(err.to_string().contains("locked"));
         assert!(force_unlock(&dir).unwrap());
-        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::OnDrop).unwrap();
+        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert!(!recovered.report.cleared_stale_lock);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -62,6 +62,12 @@
 //! more than was actually admitted, and with [`SyncPolicy::Always`] never
 //! less. One writer per tenant shard, enforced by a `LOCK` file.
 //!
+//! Buffered use — fsync once per `n` appends, or with `EveryN(u32::MAX)`
+//! only on an explicit sync, a snapshot or drop — is [`SyncPolicy::EveryN`].
+//! It is not yet sound for a privacy ledger: a crash drops grants whose
+//! samples were already released, so recovery under-counts spent ε (open
+//! item 1 in `ROADMAP.md`).
+//!
 //! [`SyncPolicy::GroupCommit`] keeps the `Always` guarantee — an append
 //! returns only after its own frame is fsync'd — but amortizes the fsync:
 //! appenders submit encoded frames to a per-ledger committer thread that

@@ -30,19 +30,16 @@ pub enum SyncPolicy {
     /// granted release is durable before its sample exists. Highest
     /// latency, zero grants lost on crash.
     Always,
-    /// Flush + fsync once every `n` appends (and on drop / snapshot). A
-    /// crash loses at most the last `n − 1` grants — the recovered spent
-    /// total is then *under* the true total. This is the unsafe direction
-    /// for a privacy ledger: those grants' samples may already have been
-    /// released, so after recovery the tenant can spend the lost budget
-    /// again and release more than its cap in total. Open item 1 in
-    /// `ROADMAP.md` tracks the fix (budget leases).
+    /// Flush + fsync once every `n` appends (and on drop, snapshot or an
+    /// explicit sync). `EveryN(u32::MAX)` is the fully buffered setting:
+    /// in practice it flushes only on those events. A crash loses at most
+    /// the last `n − 1` grants — the recovered spent total is then *under*
+    /// the true total. This is the unsafe direction for a privacy ledger:
+    /// those grants' samples may already have been released, so after
+    /// recovery the tenant can spend the lost budget again and release more
+    /// than its cap in total. Open item 1 in `ROADMAP.md` tracks the fix
+    /// (budget leases).
     EveryN(u32),
-    /// Flush + fsync only on drop, snapshot, or an explicit sync. The
-    /// in-memory-comparable fast path; a hard kill can lose every grant
-    /// since the last snapshot, with the same unsafe under-count as
-    /// `EveryN`.
-    OnDrop,
     /// **Group commit**: `Always`-grade durability per grant at amortized
     /// fsync cost under concurrency. Appenders encode their frame and hand
     /// it to a dedicated committer thread (per ledger, lazily spawned on

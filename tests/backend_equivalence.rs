@@ -60,7 +60,9 @@ fn record_sessions_agree_across_backends() {
 
 /// The DPBench runner path: a sampled `(x, x_ns)` pair released through the
 /// weighted-frame columnar session equals the legacy histogram-backed
-/// session bin for bin, mechanism for mechanism.
+/// session bin for bin, mechanism for mechanism. The same pair expanded
+/// into one record per row derives and scans the same on the row and the
+/// columnar database.
 #[test]
 fn pair_frame_sessions_reproduce_histogram_sessions_on_dpbench() {
     let mut rng = ChaCha12Rng::seed_from_u64(2020);
@@ -83,6 +85,21 @@ fn pair_frame_sessions_reproduce_histogram_sessions_on_dpbench() {
         let task = columnar.derive_task(&query).unwrap();
         assert_eq!(task.full(), &full);
         assert_eq!(task.non_sensitive(), &policy.non_sensitive);
+        let records = expand_records(&full, &policy.non_sensitive);
+        let record_query = SessionQuery::count_by_categorical("pair", "bin", full.len());
+        for columnar_records in [false, true] {
+            let mut b = SessionBuilder::new(records.clone());
+            if columnar_records {
+                b = b.columnar();
+            }
+            let session = b
+                .policy(AttributePolicy::opt_in("non_sensitive"), "P-sampled")
+                .seed(7)
+                .build()
+                .unwrap();
+            assert_eq!(session.derive_task(&record_query).unwrap(), task);
+            assert_eq!(session.scan(&record_query).unwrap(), columnar.scan(&query).unwrap());
+        }
         // ...hence identical estimates for the whole pool.
         for name in ["OsdpLaplaceL1", "DAWAz", "DAWA", "Laplace"] {
             let pool = pool_from_names(&[name], 1.0).unwrap();
@@ -95,41 +112,68 @@ fn pair_frame_sessions_reproduce_histogram_sessions_on_dpbench() {
 
 /// The TIPPERS occupancy workload: the same trajectories scanned as a row
 /// database of occupancy records and as a directly-built Mask64 frame give
-/// identical releases under an access-point policy.
+/// identical releases under an access-point policy. At experiment scale
+/// (about 21.5k trajectories) the 64 one-slot arrival bins are dense, so the
+/// frame answers that query from its cached per-value counts instead of the
+/// row loop.
 #[test]
 fn tippers_occupancy_agrees_across_representations() {
-    let mut rng = ChaCha12Rng::seed_from_u64(31);
-    let dataset = generate_dataset(&TippersConfig::small(), &mut rng);
-    let ap_policy = policy_for_ratio(&dataset, 0.75);
+    for config in [TippersConfig::small(), TippersConfig::experiment()] {
+        let mut rng = ChaCha12Rng::seed_from_u64(31);
+        let dataset = generate_dataset(&config, &mut rng);
+        let ap_policy = policy_for_ratio(&dataset, 0.75);
 
-    let row = SessionBuilder::new(dataset.occupancy_records())
-        .policy(ap_policy.record_policy(), ap_policy.label())
-        .seed(55)
-        .build()
-        .unwrap();
-    let frame = SessionBuilder::from_frame(dataset.occupancy_frame())
-        .policy(ap_policy.record_policy(), ap_policy.label())
-        .seed(55)
-        .build()
-        .unwrap();
+        let row = SessionBuilder::new(dataset.occupancy_records())
+            .policy(ap_policy.record_policy(), ap_policy.label())
+            .seed(55)
+            .build()
+            .unwrap();
+        let frame = SessionBuilder::from_frame(dataset.occupancy_frame())
+            .policy(ap_policy.record_policy(), ap_policy.label())
+            .seed(55)
+            .build()
+            .unwrap();
 
-    let arrival_hours = SessionQuery::count_by_int_linear("arrival-hour", ARRIVAL_FIELD, 0, 6, 24);
-    let durations = SessionQuery::count_by_int_linear("duration", DURATION_FIELD, 0, 12, 12);
-    let mechanism = OsdpLaplaceL1::new(1.0).unwrap();
-    for query in [&arrival_hours, &durations] {
-        assert_eq!(row.scan(query).unwrap(), frame.scan(query).unwrap());
-        assert_eq!(
-            row.release(query, &mechanism).unwrap().estimate,
-            frame.release(query, &mechanism).unwrap().estimate
-        );
+        let arrival_hours =
+            SessionQuery::count_by_int_linear("arrival-hour", ARRIVAL_FIELD, 0, 6, 24);
+        let arrival_slots =
+            SessionQuery::count_by_int_linear("arrival-slot", ARRIVAL_FIELD, 0, 1, 64);
+        let durations = SessionQuery::count_by_int_linear("duration", DURATION_FIELD, 0, 12, 12);
+        let mechanism = OsdpLaplaceL1::new(1.0).unwrap();
+        for query in [&arrival_hours, &arrival_slots, &durations] {
+            assert_eq!(row.scan(query).unwrap(), frame.scan(query).unwrap());
+            assert_eq!(
+                row.release(query, &mechanism).unwrap().estimate,
+                frame.release(query, &mechanism).unwrap().estimate
+            );
+        }
+
+        // The record-level policy classifies exactly like the
+        // trajectory-level policy it projects: the non-sensitive mass equals
+        // the trajectory count the original policy clears (durations always
+        // fit the 12 × 12 domain, so nothing drops).
+        let cleared =
+            dataset.trajectories().iter().filter(|t| ap_policy.is_non_sensitive(t)).count();
+        let pair = row.scan(&durations).unwrap();
+        assert_eq!(pair.dropped, 0.0);
+        assert_eq!(pair.non_sensitive.total(), cleared as f64);
     }
+}
 
-    // The record-level policy classifies exactly like the trajectory-level
-    // policy it projects: the non-sensitive mass equals the trajectory count
-    // the original policy clears (durations always fit the 12 × 12 domain,
-    // so nothing drops).
-    let cleared = dataset.trajectories().iter().filter(|t| ap_policy.is_non_sensitive(t)).count();
-    let pair = row.scan(&durations).unwrap();
-    assert_eq!(pair.dropped, 0.0);
-    assert_eq!(pair.non_sensitive.total(), cleared as f64);
+/// Expands a `(x, x_ns)` pair into one record per underlying row: `bin`
+/// holds the bin index and `non_sensitive` is true for the first `x_ns`
+/// rows of each bin.
+fn expand_records(full: &Histogram, non_sensitive: &Histogram) -> Database<Record> {
+    let mut records = Database::with_capacity(full.total() as usize);
+    for (bin, (&x, &x_ns)) in full.counts().iter().zip(non_sensitive.counts()).enumerate() {
+        for i in 0..x as u64 {
+            records.push(
+                Record::builder()
+                    .field("bin", Value::Categorical(bin as u32))
+                    .field("non_sensitive", Value::Bool((i as f64) < x_ns))
+                    .build(),
+            );
+        }
+    }
+    records
 }

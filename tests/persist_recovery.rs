@@ -232,16 +232,16 @@ fn composed_guarantee_lists_pre_crash_policies_after_recovery() {
 fn a_second_writer_is_refused_until_force_unlock() {
     let root = temp_root("lock");
     let dir = root.join("tenant");
-    let first = SessionPersistence::open(&dir, SyncPolicy::OnDrop).unwrap();
-    assert!(SessionPersistence::open(&dir, SyncPolicy::OnDrop).is_err());
+    let first = SessionPersistence::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
+    assert!(SessionPersistence::open(&dir, SyncPolicy::EveryN(u32::MAX)).is_err());
     drop(first); // clean drop releases the lock
-    let again = SessionPersistence::open(&dir, SyncPolicy::OnDrop).unwrap();
+    let again = SessionPersistence::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
     // A crashed writer leaks the lock by design; force_unlock clears it.
     again.wal().crash(0.0).unwrap();
     drop(again);
-    assert!(SessionPersistence::open(&dir, SyncPolicy::OnDrop).is_err());
+    assert!(SessionPersistence::open(&dir, SyncPolicy::EveryN(u32::MAX)).is_err());
     assert!(force_unlock(&dir).unwrap());
-    SessionPersistence::open(&dir, SyncPolicy::OnDrop).unwrap();
+    SessionPersistence::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -524,7 +524,7 @@ fn recovery_is_idempotent_without_new_writes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any grant sequence, under **any of the four sync policies**, crashed
+    /// Any grant sequence, under **any of four sync configurations**, crashed
     /// at any point, recovers to a state where the audit total equals the
     /// accountant total (both in exact ε units), never exceeds the cap, and
     /// recovering again without writes changes nothing.
@@ -535,7 +535,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let policy = [
-            SyncPolicy::OnDrop,
+            SyncPolicy::EveryN(u32::MAX),
             SyncPolicy::EveryN(2),
             SyncPolicy::Always,
             SyncPolicy::GroupCommit {
