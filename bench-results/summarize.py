@@ -49,6 +49,12 @@ ENTRIES = [
         "dir": "one-serving-bench",
         "claimed": {},
     },
+    {
+        "entry": 16,
+        "change": "Audit history kept as 16-byte stamped rows over a per-shard key table",
+        "dir": "compact-audit",
+        "claimed": {"grant-inmem": ["mem_bytes_per_release"]},
+    },
 ]
 
 

@@ -82,10 +82,32 @@ impl EpochVerdict {
 }
 
 /// Verifies a session's epoch stamps against its transition history (see
-/// [`EpochVerdict`]).
+/// [`EpochVerdict`]). O((stamps + transitions) · log transitions).
 pub fn verify_epoch_stamps(
     stamps: &[ReleaseStamp],
     transitions: &[EpochTransition],
+) -> EpochVerdict {
+    epoch_verdict(stamps, transitions, |mut boundaries| {
+        // The version in force at `seq` is max{v : b_v ≤ seq}. Replacing
+        // each boundary by the minimum of it and every later one leaves
+        // that answer unchanged — b_v ≤ seq implies min_{u≥v} b_u ≤ seq,
+        // and min_{u≥v} b_u ≤ seq means some u ≥ v has b_u ≤ seq — even for
+        // a dishonest history whose boundaries are not monotone. The
+        // suffix minimum is non-decreasing, so a binary search finds it.
+        for v in (1..boundaries.len()).rev() {
+            boundaries[v - 1] = boundaries[v - 1].min(boundaries[v]);
+        }
+        move |seq| boundaries.partition_point(|&b| b <= seq).saturating_sub(1)
+    })
+}
+
+/// The body of [`verify_epoch_stamps`], with the version-in-force lookup
+/// built by `in_force_of` from the boundaries of the dense chain
+/// (`boundaries[v]` is version `v`'s first sequence number).
+fn epoch_verdict<F: Fn(u64) -> usize>(
+    stamps: &[ReleaseStamp],
+    transitions: &[EpochTransition],
+    in_force_of: impl FnOnce(Vec<u64>) -> F,
 ) -> EpochVerdict {
     let mut sorted: Vec<&EpochTransition> = transitions.iter().collect();
     sorted.sort_by_key(|t| (t.version, t.boundary_seq));
@@ -102,12 +124,7 @@ pub fn verify_epoch_stamps(
         levels.push(levels[i] + if t.relaxes { 1 } else { -1 });
         boundaries.push(t.boundary_seq);
     }
-    // The version in force at `seq`: the highest version whose boundary
-    // covers it. (A linear scan keeps the answer right even for a
-    // dishonest history whose boundaries are not monotone.)
-    let in_force = |seq: u64| -> usize {
-        boundaries.iter().enumerate().filter(|&(_, &b)| b <= seq).map(|(v, _)| v).max().unwrap_or(0)
-    };
+    let in_force = in_force_of(boundaries);
     let mut stale_releases: Vec<u64> = stamps
         .iter()
         .filter(|s| match levels.get(s.version as usize) {
@@ -209,6 +226,7 @@ pub fn verify_ledger_versioned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(label: &str, policy: &str, epsilon: f64, guarantee: PrivacyGuarantee) -> LedgerEntry {
         LedgerEntry { label: label.into(), policy: policy.into(), epsilon, guarantee }
@@ -342,5 +360,83 @@ mod tests {
         ];
         assert!(verify_ledger(&ledger, None).is_pure_dp);
         assert!(!verify_ledger(&[], None).is_pure_dp, "empty ledger proves nothing");
+    }
+
+    /// The test oracle: [`verify_epoch_stamps`] with the version in force
+    /// found by scanning every boundary for every stamp.
+    fn verify_epoch_stamps_linear(
+        stamps: &[ReleaseStamp],
+        transitions: &[EpochTransition],
+    ) -> EpochVerdict {
+        epoch_verdict(stamps, transitions, |boundaries| {
+            move |seq| {
+                boundaries
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b <= seq)
+                    .map(|(v, _)| v)
+                    .max()
+                    .unwrap_or(0)
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The suffix-minimum lookup gives the linear scan's verdict on any
+        /// history: gapped or duplicated versions, non-monotone boundaries,
+        /// and stamps carrying versions the history never issued.
+        #[test]
+        fn suffix_minimum_lookup_matches_the_linear_scan(
+            history in prop::collection::vec((1u64..9, 0u64..40, 0u8..2), 0..10),
+            stamps in prop::collection::vec((0u64..48, 0u64..11), 0..40),
+        ) {
+            let transitions: Vec<EpochTransition> = history
+                .iter()
+                .map(|&(version, boundary_seq, relaxes)| EpochTransition {
+                    version,
+                    boundary_seq,
+                    relaxes: relaxes == 1,
+                    label: format!("P-v{version}"),
+                })
+                .collect();
+            let stamps: Vec<ReleaseStamp> =
+                stamps.iter().map(|&(seq, version)| ReleaseStamp { seq, version }).collect();
+            prop_assert_eq!(
+                verify_epoch_stamps(&stamps, &transitions),
+                verify_epoch_stamps_linear(&stamps, &transitions)
+            );
+        }
+
+        /// The same on dense histories (versions 1..=n in some order), so
+        /// the lookup is exercised past the first version, not only cut
+        /// short by a gap.
+        #[test]
+        fn suffix_minimum_lookup_matches_on_dense_histories(
+            boundaries in prop::collection::vec((0u64..40, 0u8..2), 0..12),
+            rotate in 0usize..12,
+            stamps in prop::collection::vec((0u64..48, 0u64..14), 0..40),
+        ) {
+            let mut transitions: Vec<EpochTransition> = boundaries
+                .iter()
+                .enumerate()
+                .map(|(i, &(boundary_seq, relaxes))| EpochTransition {
+                    version: i as u64 + 1,
+                    boundary_seq,
+                    relaxes: relaxes == 1,
+                    label: format!("P-v{}", i + 1),
+                })
+                .collect();
+            if !transitions.is_empty() {
+                let by = rotate % transitions.len();
+                transitions.rotate_left(by);
+            }
+            let stamps: Vec<ReleaseStamp> =
+                stamps.iter().map(|&(seq, version)| ReleaseStamp { seq, version }).collect();
+            let verdict = verify_epoch_stamps(&stamps, &transitions);
+            prop_assert!(verdict.history_dense);
+            prop_assert_eq!(verdict, verify_epoch_stamps_linear(&stamps, &transitions));
+        }
     }
 }

@@ -1,20 +1,32 @@
 //! The session audit log: one record per release, with a ledger view
 //! consumable by `osdp_attack::verify_ledger`.
+//!
+//! The log keeps every release, because it is the ledger of record, but it
+//! does not keep an [`AuditRecord`] per release. Each shard holds a **key
+//! table** of the distinct `(mechanism, policy, query, bins, trials,
+//! guarantee)` tuples it has seen and an append-only vector of 16-byte
+//! **rows**: the packed `(index, version)` stamp plus a key id. Snapshots
+//! ([`AuditLog::records`], [`AuditLog::ledger`], [`AuditLog::to_json`])
+//! rebuild the exact records from rows and keys.
 
+use osdp_attack::ReleaseStamp;
 use osdp_core::budget::{epsilon_to_units, LedgerEntry};
 use osdp_core::{BudgetAccountant, Guarantee};
 use osdp_metrics::{json_number, json_string};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One audited release.
 ///
-/// The three label fields are shared `Arc<str>`s interned by the session:
-/// appending a record to the log costs three reference-count increments, not
-/// three string allocations, which matters in the trial-batch hot path.
+/// The log stores releases as rows over a key table and rebuilds records
+/// on snapshot: the three label fields are `Arc<str>`s shared with that
+/// table, so a snapshot costs three reference-count increments per
+/// record, not three string allocations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuditRecord {
     /// Monotone release index within the session.
@@ -76,6 +88,197 @@ impl AuditRecord {
             json_number(self.guarantee.epsilon()),
         )
     }
+
+    /// The key half of the record: everything but its stamp.
+    fn key(&self) -> AuditKeyRef<'_> {
+        AuditKeyRef {
+            mechanism: &self.mechanism,
+            policy: &self.policy,
+            query: &self.query,
+            bins: self.bins,
+            trials: self.trials,
+            guarantee: self.guarantee,
+        }
+    }
+}
+
+/// The fields a release shares with every other release of the same tuple,
+/// borrowed: what an append matches against its shard's key table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AuditKeyRef<'a> {
+    pub(crate) mechanism: &'a str,
+    pub(crate) policy: &'a str,
+    pub(crate) query: &'a str,
+    pub(crate) bins: usize,
+    pub(crate) trials: usize,
+    pub(crate) guarantee: Guarantee,
+}
+
+impl AuditKeyRef<'_> {
+    /// The fixed-point debit of the release — the same ceiling conversion
+    /// of the same f64 (`trials × ε`) the grant path admits.
+    pub(crate) fn units(&self) -> u64 {
+        epsilon_to_units(self.guarantee.epsilon() * self.trials as f64)
+    }
+}
+
+/// A guarantee's identity in the key table: its kind and the bits of its
+/// ε, so keys compare and hash exactly (no float equality).
+fn guarantee_bits(guarantee: Guarantee) -> (u8, u64) {
+    (guarantee.kind() as u8, guarantee.epsilon().to_bits())
+}
+
+/// One distinct release tuple of a shard, shared by every row naming it.
+#[derive(Debug, Clone)]
+struct AuditKey {
+    mechanism: Arc<str>,
+    policy: Arc<str>,
+    query: Arc<str>,
+    bins: usize,
+    trials: usize,
+    guarantee: Guarantee,
+    /// The next key of the shard with the same hash.
+    next: Option<u32>,
+}
+
+impl AuditKey {
+    fn matches(&self, key: &AuditKeyRef<'_>) -> bool {
+        self.bins == key.bins
+            && self.trials == key.trials
+            && guarantee_bits(self.guarantee) == guarantee_bits(key.guarantee)
+            && *self.mechanism == *key.mechanism
+            && *self.policy == *key.policy
+            && *self.query == *key.query
+    }
+
+    /// The record of the release stamped `stamp` under this key.
+    fn record(&self, stamp: u64) -> AuditRecord {
+        AuditRecord {
+            index: stamp & INDEX_MASK,
+            mechanism: Arc::clone(&self.mechanism),
+            policy: Arc::clone(&self.policy),
+            query: Arc::clone(&self.query),
+            bins: self.bins,
+            trials: self.trials,
+            guarantee: self.guarantee,
+            policy_version: stamp >> VERSION_SHIFT,
+        }
+    }
+}
+
+/// One stored release: the packed stamp word (`index | version << 48`,
+/// the word the sequence counter's `fetch_add` returns) and the id of the
+/// release's key in its shard's key table.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    stamp: u64,
+    key: u32,
+}
+
+// History grows by one row per release; keep it at 16 bytes.
+const _: () = assert!(std::mem::size_of::<Row>() <= 16);
+
+/// The bits of a key hash the key table keeps. Unit tests keep three, so
+/// that distinct keys collide and the hash chains are exercised.
+const KEY_HASH_MASK: u64 = if cfg!(test) { 0b111 } else { u64::MAX };
+
+/// The hasher of the key table's chain heads, whose keys are already
+/// seeded hashes: it passes them through rather than hashing them again.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Seeds the key hashes of every key table: one random key per process,
+/// so query labels cannot be chosen to collide.
+static KEY_HASHER: OnceLock<RandomState> = OnceLock::new();
+
+/// One append shard: its rows and the key table they index.
+#[derive(Debug, Default)]
+struct Shard {
+    rows: Vec<Row>,
+    /// Built on the shard's first append. Most shards of a log stay
+    /// empty, and keeping them small keeps building a session cheap.
+    table: Option<Box<KeyTable>>,
+}
+
+impl Shard {
+    fn keys(&self) -> &[AuditKey] {
+        self.table.as_deref().map_or(&[], |table| &table.keys)
+    }
+}
+
+/// The distinct release tuples of one shard.
+#[derive(Debug, Default)]
+struct KeyTable {
+    keys: Vec<AuditKey>,
+    /// The first key of each hash chain through `keys`.
+    heads: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    /// The key the last append used: a warm append compares against it
+    /// before hashing.
+    last: u32,
+}
+
+impl KeyTable {
+    /// The id of `key` in the key table, inserted on first sight. Labels of
+    /// a new key share the last-used key's `Arc`s where the text is equal.
+    fn key_id(&mut self, key: &AuditKeyRef<'_>) -> u32 {
+        let last = self.keys.get(self.last as usize);
+        if last.is_some_and(|k| k.matches(key)) {
+            return self.last;
+        }
+        let hash = KEY_HASH_MASK
+            & KEY_HASHER.get_or_init(RandomState::new).hash_one((
+                key.mechanism,
+                key.policy,
+                key.query,
+                key.bins,
+                key.trials,
+                guarantee_bits(key.guarantee),
+            ));
+        let head = self.heads.get(&hash).copied();
+        let mut next = head;
+        while let Some(id) = next {
+            let candidate = &self.keys[id as usize];
+            if candidate.matches(key) {
+                self.last = id;
+                return id;
+            }
+            next = candidate.next;
+        }
+        let share = |label: &str, prev: Option<&Arc<str>>| match prev {
+            Some(prev) if **prev == *label => Arc::clone(prev),
+            _ => Arc::from(label),
+        };
+        let stored = AuditKey {
+            mechanism: share(key.mechanism, last.map(|k| &k.mechanism)),
+            policy: share(key.policy, last.map(|k| &k.policy)),
+            query: share(key.query, last.map(|k| &k.query)),
+            bins: key.bins,
+            trials: key.trials,
+            guarantee: key.guarantee,
+            next: head,
+        };
+        let id = u32::try_from(self.keys.len()).expect("fewer than 2^32 audit keys per shard");
+        self.keys.push(stored);
+        self.heads.insert(hash, id);
+        self.last = id;
+        id
+    }
 }
 
 /// Bit position of the policy version in the packed sequence word: the low
@@ -116,14 +319,19 @@ fn thread_shard() -> usize {
 /// A thread-safe, append-only log of audited releases, sharded for
 /// concurrent appenders.
 ///
-/// Records are appended to **per-thread shard buffers** (no global append
-/// lock) and stamped with a monotone sequence number drawn from one atomic
-/// counter; [`AuditLog::records`] merges the shards back into sequence
-/// order, so single-threaded callers observe exactly the historical
-/// append-order log, and concurrent callers observe a total order
-/// consistent with the grant sequence. [`AuditLog::len`] /
-/// [`AuditLog::is_empty`] / [`AuditLog::total_epsilon`] read atomic
-/// counters — O(1), never contending with appenders.
+/// Releases are appended to **per-thread shards** (no global append lock)
+/// and stamped with a monotone sequence number drawn from one atomic
+/// counter. A shard stores each release as a 16-byte row — the packed
+/// `(index, version)` stamp and the id of its `(mechanism, policy, query,
+/// bins, trials, guarantee)` tuple in the shard's key table — so history
+/// costs 16 bytes per release plus one key per distinct tuple.
+/// [`AuditLog::records`] merges the shards back into sequence order and
+/// rebuilds each record from its row and key, so single-threaded callers
+/// observe exactly the historical append-order log, and concurrent callers
+/// observe a total order consistent with the grant sequence.
+/// [`AuditLog::len`] / [`AuditLog::is_empty`] /
+/// [`AuditLog::total_epsilon`] read atomic counters — O(1), never
+/// contending with appenders.
 #[derive(Debug)]
 pub struct AuditLog {
     /// Packed counter: low 48 bits are the next sequence stamp (== number of
@@ -139,17 +347,12 @@ pub struct AuditLog {
     /// durable snapshot, prepended to every [`AuditLog::ledger`] view.
     /// Empty (and allocation-free) for non-recovered logs.
     base: Vec<LedgerEntry>,
-    shards: Vec<Mutex<Vec<(u64, AuditRecord)>>>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl Default for AuditLog {
     fn default() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            spent_units: AtomicU64::new(0),
-            base: Vec::new(),
-            shards: (0..AUDIT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-        }
+        Self::recovered(0, 0, 0, Vec::new())
     }
 }
 
@@ -178,7 +381,7 @@ impl AuditLog {
             seq: AtomicU64::new(seq | (version << VERSION_SHIFT)),
             spent_units: AtomicU64::new(spent_units),
             base,
-            shards: (0..AUDIT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..AUDIT_SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
         }
     }
 
@@ -193,32 +396,44 @@ impl AuditLog {
         let version = self.seq.load(Ordering::Acquire) >> VERSION_SHIFT;
         let packed = (record.index + 1) | (version << VERSION_SHIFT);
         self.seq.fetch_max(packed, Ordering::AcqRel);
-        self.spent_units.fetch_add(units, Ordering::AcqRel);
-        let stamp = record.index;
-        self.shards[thread_shard()].lock().push((stamp, record));
+        self.push_row(record.index, record.policy_version, record.key(), units);
     }
 
-    /// Stamps a record with `seq` and appends it to the calling thread's
-    /// shard buffer.
+    /// Allocates the next release index with one atomic increment and
+    /// returns it with the policy epoch version in force at that instant.
+    /// The caller must then [`AuditLog::push_row`] the release.
+    pub(crate) fn next_stamp(&self) -> (u64, u64) {
+        let packed = self.seq.fetch_add(1, Ordering::AcqRel);
+        (packed & INDEX_MASK, packed >> VERSION_SHIFT)
+    }
+
+    /// Appends the row of the release stamped `(index, version)` to the
+    /// calling thread's shard, and debits `units` from the ε accumulator.
+    /// Every append — grant path, [`AuditLog::append_versioned`],
+    /// [`AuditLog::restore`] — goes through here. Only the thread's own
+    /// shard mutex is taken; a warm append clones no `Arc`.
     ///
-    /// The ε accumulator debits `epsilon_to_units(record ε)` — the **same**
+    /// Live appends debit [`AuditKeyRef::units`] — the **same**
     /// ceiling-rounded fixed-point conversion the `BudgetAccountant` grant
     /// path applies to the same f64 — so for a session whose every grant is
     /// audited, `total_epsilon()` equals the accountant's `total_spent()`
     /// **bit for bit**, independent of shard interleaving (integer addition
-    /// commutes; the historical float accumulation did not).
-    fn push_stamped(&self, seq: u64, record: AuditRecord) {
-        let units = epsilon_to_units(record.total_epsilon());
+    /// commutes).
+    pub(crate) fn push_row(&self, index: u64, version: u64, key: AuditKeyRef<'_>, units: u64) {
+        debug_assert!(index <= INDEX_MASK && version <= MAX_VERSION);
         self.spent_units.fetch_add(units, Ordering::AcqRel);
-        self.shards[thread_shard()].lock().push((seq, record));
+        let mut shard = self.shards[thread_shard()].lock();
+        let key = shard.table.get_or_insert_default().key_id(&key);
+        shard.rows.push(Row { stamp: index | (version << VERSION_SHIFT), key });
     }
 
     /// Allocates the next monotone release index and appends the record
-    /// built from it — the single append of the grant path. Index
-    /// allocation is one atomic increment, so concurrent releases get
-    /// dense, unique indices without serializing; the index doubles as the
-    /// record's sequence stamp, keeping [`AuditLog::records`] in
-    /// release-index order.
+    /// built from it. Index allocation is one atomic increment, so
+    /// concurrent releases get dense, unique indices without serializing;
+    /// the index doubles as the record's sequence stamp, keeping
+    /// [`AuditLog::records`] in release-index order. The stored record's
+    /// `index` and `policy_version` are the stamp's, whatever `make` put
+    /// there.
     ///
     /// The closure also receives the policy epoch version in force **at
     /// the instant the index was allocated** — both come out of one
@@ -228,10 +443,10 @@ impl AuditLog {
     /// Returns the pair so the caller can detect that a transition landed
     /// mid-release and re-derive under the stamped epoch.
     pub fn append_versioned(&self, make: impl FnOnce(u64, u64) -> AuditRecord) -> (u64, u64) {
-        let packed = self.seq.fetch_add(1, Ordering::AcqRel);
-        let index = packed & INDEX_MASK;
-        let version = packed >> VERSION_SHIFT;
-        self.push_stamped(index, make(index, version));
+        let (index, version) = self.next_stamp();
+        let record = make(index, version);
+        let key = record.key();
+        self.push_row(index, version, key, key.units());
         (index, version)
     }
 
@@ -265,12 +480,31 @@ impl AuditLog {
         self.seq.load(Ordering::Acquire) >> VERSION_SHIFT
     }
 
-    /// A snapshot of all records, merged from the shard buffers and sorted
-    /// into release order. **O(n)** in the number of audited releases —
-    /// use [`AuditLog::len`] / [`AuditLog::total_epsilon`] for hot-path
-    /// probes. A snapshot taken while appends are in flight contains every
-    /// release whose append completed (an in-flight index may be absent
-    /// until its appender finishes); a quiesced log snapshots exactly.
+    /// Visits every stored release in release-index order with its stamp
+    /// word and key. Each shard is locked once, to copy its rows and clone
+    /// its key table (reference-count increments); the merged rows are
+    /// then stably sorted by index.
+    fn for_each_in_order(&self, mut visit: impl FnMut(u64, &AuditKey)) {
+        let mut keys = Vec::with_capacity(self.shards.len());
+        let mut rows: Vec<(u64, u32, u32)> = Vec::with_capacity(self.len());
+        for (slot, shard) in self.shards.iter().enumerate() {
+            let shard = shard.lock();
+            keys.push(shard.keys().to_vec());
+            rows.extend(shard.rows.iter().map(|row| (row.stamp, slot as u32, row.key)));
+        }
+        rows.sort_by_key(|&(stamp, ..)| stamp & INDEX_MASK);
+        for (stamp, slot, key) in rows {
+            visit(stamp, &keys[slot as usize][key as usize]);
+        }
+    }
+
+    /// A snapshot of all records, merged from the shards, sorted into
+    /// release order and rebuilt from rows and keys. **O(n)** in the
+    /// number of audited releases — use [`AuditLog::len`] /
+    /// [`AuditLog::total_epsilon`] for hot-path probes. A snapshot taken
+    /// while appends are in flight contains every release whose append
+    /// completed (an in-flight index may be absent until its appender
+    /// finishes); a quiesced log snapshots exactly.
     pub fn records(&self) -> Vec<AuditRecord> {
         let mut out = Vec::new();
         self.records_into(&mut out);
@@ -283,19 +517,31 @@ impl AuditLog {
     /// the shards without re-allocating the snapshot vector each time.
     pub fn records_into(&self, out: &mut Vec<AuditRecord>) {
         out.clear();
-        let mut all: Vec<(u64, AuditRecord)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.lock().iter().cloned());
-        }
-        all.sort_by_key(|&(seq, _)| seq);
-        out.extend(all.into_iter().map(|(_, record)| record));
+        out.reserve(self.len());
+        self.for_each_in_order(|stamp, key| out.push(key.record(stamp)));
     }
 
-    /// Current length of each shard buffer, in shard order — an O(shards)
-    /// observability probe for append skew (a healthy concurrent workload
-    /// spreads across shards; a single-threaded one fills exactly one).
+    /// The `(index, version)` stamp of every audited release, in release
+    /// order, read straight from the rows: no record is rebuilt and no
+    /// `Arc` is cloned.
+    pub fn release_stamps(&self) -> Vec<ReleaseStamp> {
+        let mut stamps = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            stamps.extend(shard.lock().rows.iter().map(|row| ReleaseStamp {
+                seq: row.stamp & INDEX_MASK,
+                version: row.stamp >> VERSION_SHIFT,
+            }));
+        }
+        stamps.sort_by_key(|stamp| stamp.seq);
+        stamps
+    }
+
+    /// Current number of rows in each shard, in shard order — an
+    /// O(shards) observability probe for append skew (a healthy concurrent
+    /// workload spreads across shards; a single-threaded one fills exactly
+    /// one).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|shard| shard.lock().len()).collect()
+        self.shards.iter().map(|shard| shard.lock().rows.len()).collect()
     }
 
     /// Number of audited releases — one atomic load, no shard locks.
@@ -357,19 +603,36 @@ impl AuditLog {
         out
     }
 
+    /// [`AuditLog::ledger_with`] and [`AuditLog::release_stamps`] from
+    /// **one** merge of the shards: both halves of the versioned ledger
+    /// audit (`osdp_attack::verify_ledger_versioned`). The stamps are read
+    /// off the same snapshot as the ledger, so they describe exactly the
+    /// same releases even while appends are in flight.
+    pub fn ledger_and_stamps_with(
+        &self,
+        scratch: &mut Vec<AuditRecord>,
+    ) -> (Vec<LedgerEntry>, Vec<ReleaseStamp>) {
+        let ledger = self.ledger_with(scratch);
+        let stamps = scratch
+            .iter()
+            .map(|r| ReleaseStamp { seq: r.index, version: r.policy_version })
+            .collect();
+        (ledger, stamps)
+    }
+
     /// The distinct policy labels of the log in first-use order: the
-    /// recovered base rows (in snapshot order), then the records in index
+    /// recovered base rows (in snapshot order), then the releases in index
     /// order — the labels whose minimum relaxation the composed guarantee
     /// refers to (Theorem 3.3). O(n), like [`AuditLog::records`].
     pub fn policy_labels(&self) -> Vec<String> {
-        let records = self.records();
-        let used = self.base.iter().map(|e| e.policy.as_str());
         let mut labels: Vec<String> = Vec::new();
-        for policy in used.chain(records.iter().map(|r| &*r.policy)) {
+        let mut note = |policy: &str| {
             if !labels.iter().any(|l| l == policy) {
                 labels.push(policy.to_string());
             }
-        }
+        };
+        self.base.iter().for_each(|e| note(&e.policy));
+        self.for_each_in_order(|_, key| note(&key.policy));
         labels
     }
 
@@ -581,5 +844,196 @@ mod tests {
         assert!(json.contains("\"OsdpLaplaceL1\""));
         assert!(json.contains("\"trials\": 3"));
         assert!(json.ends_with(']'));
+    }
+
+    /// A release tuple drawn from small alphabets, so tuples repeat (warm
+    /// appends and hash-chain hits) and differ in every field, the ε bits
+    /// included.
+    fn random_record(rng: &mut proptest::TestRng, index: u64, version: u64) -> AuditRecord {
+        const MECHANISMS: [&str; 3] = ["OsdpLaplaceL1", "DAWA", "OsdpRR"];
+        const POLICIES: [&str; 3] = ["P90", "P99", "Pall"];
+        const GUARANTEES: [Guarantee; 4] = [
+            Guarantee::Osdp { eps: 0.5 },
+            Guarantee::Osdp { eps: 0.25 },
+            Guarantee::Dp { eps: 0.5 },
+            Guarantee::Pdp { eps: 0.5 },
+        ];
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        AuditRecord {
+            index,
+            mechanism: MECHANISMS[pick(3)].into(),
+            policy: POLICIES[pick(3)].into(),
+            query: format!("q{}", pick(5)).into(),
+            bins: [0, 16, 64][pick(3)],
+            trials: 1 + pick(3),
+            guarantee: GUARANTEES[pick(4)],
+            policy_version: version,
+        }
+    }
+
+    /// The snapshots a plain `Vec<AuditRecord>` of the same appends gives,
+    /// next to the base entries of a recovered log.
+    struct Oracle {
+        base: Vec<LedgerEntry>,
+        records: Vec<AuditRecord>,
+    }
+
+    impl Oracle {
+        fn ledger(&self) -> Vec<LedgerEntry> {
+            let live = self.records.iter().map(AuditRecord::to_ledger_entry);
+            self.base.iter().cloned().chain(live).collect()
+        }
+
+        fn policy_labels(&self) -> Vec<String> {
+            let mut labels: Vec<String> = Vec::new();
+            let used = self.base.iter().map(|e| e.policy.clone());
+            for policy in used.chain(self.records.iter().map(|r| r.policy.to_string())) {
+                if !labels.contains(&policy) {
+                    labels.push(policy);
+                }
+            }
+            labels
+        }
+
+        fn to_json(&self) -> String {
+            let objects: Vec<String> =
+                self.records.iter().map(|r| format!("  {}", r.to_json())).collect();
+            if objects.is_empty() {
+                "[\n]".to_string()
+            } else {
+                format!("[\n{}\n]", objects.join(",\n"))
+            }
+        }
+
+        fn release_stamps(&self) -> Vec<ReleaseStamp> {
+            let stamp = |r: &AuditRecord| ReleaseStamp { seq: r.index, version: r.policy_version };
+            self.records.iter().map(stamp).collect()
+        }
+
+        fn check(&self, log: &AuditLog) {
+            assert_eq!(log.records(), self.records);
+            assert_eq!(log.ledger(), self.ledger());
+            assert_eq!(log.policy_labels(), self.policy_labels());
+            assert_eq!(log.to_json(), self.to_json());
+            assert_eq!(log.release_stamps(), self.release_stamps());
+            let (ledger, stamps) = log.ledger_and_stamps_with(&mut Vec::new());
+            assert_eq!((ledger, stamps), (self.ledger(), self.release_stamps()));
+            let units: u64 = self.records.iter().map(|r| r.key().units()).sum();
+            assert_eq!(log.total_epsilon_units(), self.base_units() + units);
+        }
+
+        /// The units seeded into a recovered log (its base entries).
+        fn base_units(&self) -> u64 {
+            self.base.iter().map(|e| epsilon_to_units(e.epsilon)).sum()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The row store reproduces an owned-record log exactly: 4–8
+        /// threads append random tuples while another bumps the version,
+        /// on a fresh log and on a recovered one with restored tail
+        /// records.
+        #[test]
+        fn rows_reproduce_an_owned_record_log(
+            threads in 4usize..=8,
+            appends in 1usize..80,
+            bumps in 0u64..6,
+            recovered in 0usize..2,
+            tail in 0u64..12,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&format!("audit-oracle-{seed}"));
+            let (log, base, mut records) = if recovered == 1 {
+                // Four collapsed releases, then a tail replayed out of
+                // order with stamps from versions 0..=2.
+                let base = vec![LedgerEntry {
+                    label: "DAWA [recovered x4]".into(),
+                    policy: "P-base".into(),
+                    epsilon: 2.0,
+                    guarantee: osdp_core::PrivacyGuarantee::OneSided,
+                }];
+                let log = AuditLog::recovered(4, 2, epsilon_to_units(2.0), base.clone());
+                let mut tail: Vec<AuditRecord> = (0..tail)
+                    .map(|i| random_record(&mut rng, 4 + i, i * 3 / tail.max(1)))
+                    .collect();
+                for record in tail.iter().rev() {
+                    log.restore(record.clone(), record.key().units());
+                }
+                tail.sort_by_key(|r| r.index);
+                (log, base, tail)
+            } else {
+                (AuditLog::new(), Vec::new(), Vec::new())
+            };
+            let log = Arc::new(log);
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let log = Arc::clone(&log);
+                    let mut rng = proptest::TestRng::deterministic(&format!("{seed}-{t}"));
+                    std::thread::spawn(move || {
+                        let mut appended = Vec::with_capacity(appends);
+                        for _ in 0..appends {
+                            log.append_versioned(|index, version| {
+                                let record = random_record(&mut rng, index, version);
+                                appended.push(record.clone());
+                                record
+                            });
+                        }
+                        appended
+                    })
+                })
+                .collect();
+            let bumper = {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || {
+                    for _ in 0..bumps {
+                        std::thread::yield_now();
+                        log.bump_version().unwrap();
+                    }
+                })
+            };
+            for worker in workers {
+                records.extend(worker.join().unwrap());
+            }
+            bumper.join().unwrap();
+            records.sort_by_key(|r| r.index);
+            let oracle = Oracle { base, records };
+            oracle.check(&log);
+        }
+    }
+
+    /// Keys across the shards (a tuple appended from two threads counts
+    /// once per shard).
+    fn key_count(log: &AuditLog) -> usize {
+        log.shards.iter().map(|shard| shard.lock().keys().len()).sum()
+    }
+
+    #[test]
+    fn key_churn_keeps_snapshots_exact() {
+        // A new query label on every release: one key per row, the case
+        // where rows save least. Snapshots must stay exact regardless.
+        let log = AuditLog::new();
+        let mut records = Vec::new();
+        for i in 0..10_000u64 {
+            log.append_versioned(|index, version| {
+                let mut r = record(index, 1 + (i % 2) as usize);
+                r.query = format!("query-{i}").into();
+                r.policy_version = version;
+                records.push(r.clone());
+                r
+            });
+        }
+        assert_eq!(key_count(&log), 10_000);
+        let oracle = Oracle { base: Vec::new(), records };
+        oracle.check(&log);
+        // A repeated tuple reuses its key.
+        log.append_versioned(|index, _| {
+            let mut r = record(index, 1);
+            r.query = "query-0".into();
+            r
+        });
+        assert_eq!(key_count(&log), 10_000);
+        assert_eq!(log.records().last().unwrap().query.as_ref(), "query-0");
     }
 }

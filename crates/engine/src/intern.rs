@@ -1,11 +1,15 @@
 //! Session-level label interning.
 //!
-//! Every audited release carries three labels (mechanism, policy, query) and
-//! derives one RNG stream label, and a session serving heavy traffic repeats
-//! the same handful of labels millions of times. Before interning, each
-//! release paid a `to_string()` per label plus a `format!` per stream
-//! derivation; the [`Interner`] replaces that with one `Arc<str>` clone per
+//! A session serving heavy traffic repeats the same handful of labels
+//! millions of times. Each single release derives one RNG stream label
+//! (`release/<mechanism>`), and override releases and epoch transitions
+//! name a policy. Before interning, each paid a `to_string()` or a
+//! `format!`; the [`Interner`] replaces that with one `Arc<str>` clone per
 //! use — an atomic increment — after the first occurrence.
+//!
+//! The audit log does not intern: it stores each release as a 16-byte row
+//! over a per-shard key table of distinct tuples (`crate::audit`) and
+//! rebuilds the records, with their label `Arc`s, on snapshot.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

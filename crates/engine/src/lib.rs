@@ -241,9 +241,12 @@
 //!   the audit log (plus the WAL, for durable sessions) is the ledger of
 //!   record.
 //! * **The audit log is sharded.** [`AuditLog`] appends to per-thread shard
-//!   buffers (no global append lock) and stamps each record with a monotone
+//!   buffers (no global append lock) and stamps each release with a monotone
 //!   sequence number from one atomic counter, which doubles as the release
-//!   index keying the deterministic RNG streams. `AuditLog::len` /
+//!   index keying the deterministic RNG streams. A shard keeps a release as
+//!   a 16-byte row (the packed stamp and a key id) over a table of the
+//!   distinct `(mechanism, policy, query, bins, trials, guarantee)` tuples
+//!   it has seen, and snapshots rebuild the records. `AuditLog::len` /
 //!   `is_empty` / `total_epsilon` read atomic counters without touching the
 //!   shards; [`AuditLog::records`] (O(n)) merges the shards back into
 //!   release-index order. Single-threaded callers therefore observe exactly

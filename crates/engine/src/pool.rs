@@ -874,19 +874,23 @@ impl<R> SessionPool<R> {
     /// (`osdp_attack::verify_ledger_versioned`): budget conservation plus
     /// the stale-policy and version-stamp-monotonicity checks over the
     /// tenant's epoch history. Returns one verdict per tenant plus the
-    /// parallel-composition total. O(total releases); the audit merge
+    /// parallel-composition total. O(total releases); each tenant's audit
+    /// log is merged once for both the ledger and the stamps, and the merge
     /// scratch is reused across tenants, so the sweep allocates one record
     /// buffer for the whole pool instead of one per tenant.
     pub fn verify_all_ledgers(&self) -> PoolVerdict {
         let mut scratch = Vec::new();
-        let mut tenants = self.for_each_session(|tenant, session| TenantVerdict {
-            tenant,
-            verdict: osdp_attack::verify_ledger_versioned(
-                &session.audit_log().ledger_with(&mut scratch),
-                session.accountant().limit(),
-                &session.release_stamps(),
-                &session.epoch_transitions(),
-            ),
+        let mut tenants = self.for_each_session(|tenant, session| {
+            let (ledger, stamps) = session.audit_log().ledger_and_stamps_with(&mut scratch);
+            TenantVerdict {
+                tenant,
+                verdict: osdp_attack::verify_ledger_versioned(
+                    &ledger,
+                    session.accountant().limit(),
+                    &stamps,
+                    &session.epoch_transitions(),
+                ),
+            }
         });
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         let parallel_epsilon = tenants.iter().map(|t| t.verdict.total_epsilon).fold(0.0, f64::max);

@@ -1,6 +1,6 @@
 //! [`OsdpSession`]: the budget-enforced, policy-aware release path.
 
-use crate::audit::{AuditLog, AuditRecord};
+use crate::audit::{AuditKeyRef, AuditLog, AuditRecord};
 use crate::backend::{Backend, ColumnarBackend, HistogramPair, QueryPlan, RowBackend};
 use crate::cache::TaskCache;
 use crate::intern::Interner;
@@ -158,6 +158,26 @@ impl<R> GrantInput for Arc<dyn Policy<R>> {
     fn bins(&self) -> usize {
         0
     }
+}
+
+/// The fixed-point debit of `trials` trials under each of `guarantees`,
+/// and the float ε it stands for: `Σ epsilon_to_units(ε × trials)`,
+/// converted **per debit**. The ceiling conversion is subadditive, so
+/// converting the float sum once would record fewer units than the grant
+/// admits. The grant path admits this sum, and the streaming plane charges
+/// its sliding frame with it, so the two can never disagree.
+pub(crate) fn debit_units(
+    guarantees: impl IntoIterator<Item = Guarantee>,
+    trials: usize,
+) -> Result<(u64, f64)> {
+    let mut units = 0u64;
+    let mut requested = 0.0;
+    for guarantee in guarantees {
+        let epsilon = validate_epsilon(guarantee.epsilon() * trials as f64)?;
+        units = units.saturating_add(epsilon_to_units(epsilon));
+        requested += epsilon;
+    }
+    Ok((units, requested))
 }
 
 /// A histogram query answered by a session.
@@ -619,7 +639,7 @@ pub struct OsdpSession<R = Record> {
     /// backend) identity, shared by every release path. Hash-sharded, so
     /// concurrent derivations of distinct queries never serialize.
     tasks: TaskCache<R>,
-    /// Interned audit labels (mechanism / policy / query).
+    /// Interned policy labels of override releases and epoch transitions.
     labels: Interner,
     /// Interned RNG stream labels (`release/<mechanism>`), so single
     /// releases stop paying a `format!` each.
@@ -955,11 +975,12 @@ impl<R> OsdpSession<R> {
     ///    conversions, the same integer the audit log and the WAL
     ///    accumulate. A refusal is logged to the WAL (best-effort: it
     ///    spends nothing) and nothing is stamped or sampled;
-    /// 3. per debit, in order: stamp the audit record through
-    ///    [`AuditLog::append_versioned`] (index and version from one atomic
-    ///    add); if a transition raced in since the capture, relabel the
-    ///    record to the stamped epoch — installed before the counter bump,
-    ///    so always resolvable — and re-derive under it (shared through the
+    /// 3. per debit, in order: stamp the release (index and version from
+    ///    one atomic add); if a transition raced in since the capture,
+    ///    relabel it to the stamped epoch — installed before the counter
+    ///    bump, so always resolvable; append its audit row (the thread's
+    ///    own shard mutex, no `Arc` clone on a warm key); re-derive under
+    ///    the stamped epoch when relabelled (shared through the
     ///    version-keyed cache); then log the grant to the WAL. A WAL
     ///    failure refuses the release with the ε still spent and audited —
     ///    a sample must never outrun its durable record.
@@ -989,13 +1010,7 @@ impl<R> OsdpSession<R> {
             }
             Derive::Fixed { input, label, policy } => (input, label, None, policy),
         };
-        let mut units = 0u64;
-        let mut requested = 0.0;
-        for &(_, guarantee) in debits {
-            let epsilon = validate_epsilon(guarantee.epsilon() * trials as f64)?;
-            units = units.saturating_add(epsilon_to_units(epsilon));
-            requested += epsilon;
-        }
+        let (units, requested) = debit_units(debits.iter().map(|&(_, g)| g), trials)?;
         if let Err(err) = self.accountant.spend_units(units, requested) {
             if let Some(wal) = &self.wal {
                 let _ = match debits {
@@ -1008,51 +1023,36 @@ impl<R> OsdpSession<R> {
         if let Some(policy) = new_policy {
             self.remember_policy(&label, policy);
         }
-        let query = self.labels.get(query);
         let mut last = None;
         for &(mechanism, guarantee) in debits {
-            let mechanism_label = self.labels.get(mechanism);
-            let mut policy = Arc::clone(&label);
+            let (index, version) = self.audit.next_stamp();
             let mut stamped = None;
-            let (index, version) = self.audit.append_versioned(|index, version| {
-                if let (Some((_, captured)), Source::Records { epoch, .. }) =
-                    (rederive, &self.source)
-                {
-                    if version != captured {
-                        stamped = epoch.state(version);
-                        if let Some(state) = &stamped {
-                            policy = Arc::clone(&state.label);
-                        }
-                    }
+            if let (Some((_, captured)), Source::Records { epoch, .. }) = (rederive, &self.source) {
+                if version != captured {
+                    stamped = epoch.state(version);
                 }
-                AuditRecord {
-                    index,
-                    mechanism: mechanism_label,
-                    policy: Arc::clone(&policy),
-                    query: Arc::clone(&query),
-                    bins: input.bins(),
-                    trials,
-                    guarantee,
-                    policy_version: version,
-                }
-            });
-            let input = match (stamped, rederive) {
-                (Some(state), Some((derive, _))) => derive(Some(&state))?,
+            }
+            let policy = stamped.as_ref().map_or(&label, |state| &state.label);
+            let key =
+                AuditKeyRef { mechanism, policy, query, bins: input.bins(), trials, guarantee };
+            self.audit.push_row(index, version, key, key.units());
+            let input = match (&stamped, rederive) {
+                (Some(state), Some((derive, _))) => derive(Some(state))?,
                 _ => input.clone(),
             };
             if let Some(wal) = &self.wal {
                 wal.log_grant(GrantEvent {
                     index,
                     mechanism,
-                    policy: &policy,
-                    query: &query,
+                    policy,
+                    query,
                     bins: input.bins(),
                     trials,
                     guarantee,
                     policy_version: version,
                 })?;
             }
-            last = Some(granted(index, &policy, input));
+            last = Some(granted(index, policy, input));
         }
         Ok(last.expect("debits checked non-empty"))
     }
@@ -1297,11 +1297,7 @@ impl<R> OsdpSession<R> {
     /// The `(sequence number, stamped policy version)` pair of every audited
     /// release — the stamp half of the stale-policy audit.
     pub fn release_stamps(&self) -> Vec<ReleaseStamp> {
-        self.audit
-            .records()
-            .iter()
-            .map(|r| ReleaseStamp { seq: r.index, version: r.policy_version })
-            .collect()
+        self.audit.release_stamps()
     }
 
     /// Runs the full versioned ledger audit over this session's own records:
@@ -1310,12 +1306,8 @@ impl<R> OsdpSession<R> {
     /// fails [`osdp_attack::LedgerVerdict::upholds_osdp`] served a release
     /// it should not have.
     pub fn verify_policy_lifecycle(&self, limit: Option<f64>) -> osdp_attack::LedgerVerdict {
-        osdp_attack::verify_ledger_versioned(
-            &self.audit_ledger(),
-            limit,
-            &self.release_stamps(),
-            &self.epoch_transitions(),
-        )
+        let (ledger, stamps) = self.audit.ledger_and_stamps_with(&mut Vec::new());
+        osdp_attack::verify_ledger_versioned(&ledger, limit, &stamps, &self.epoch_transitions())
     }
 
     /// The minimum relaxation across the session's **epoch history**

@@ -59,8 +59,10 @@
 //!   buffered.
 
 use crate::backend::{Backend, HistogramPair, QueryPlan, RowBackend};
-use crate::session::{OsdpSession, PoolRelease, Release, SessionBuilder, SessionQuery};
-use osdp_core::budget::{dyadic_decomposition, epsilon_to_units, StreamBudget, StreamBudgetState};
+use crate::session::{
+    debit_units, OsdpSession, PoolRelease, Release, SessionBuilder, SessionQuery,
+};
+use osdp_core::budget::{dyadic_decomposition, StreamBudget, StreamBudgetState};
 use osdp_core::error::{OsdpError, Result};
 use osdp_core::policy::Policy;
 use osdp_core::{Database, Histogram, Record, Value};
@@ -522,14 +524,11 @@ impl<R: Send + Sync + 'static> StreamSession<R> {
         }
         let index = window.index;
         self.begin_window(window)?;
-        let cost: f64 = pool.iter().map(|m| m.guarantee().epsilon() * trials as f64).sum();
-        // Frame accounting in units, summed per mechanism exactly as the
-        // session's grant path sums its debits — the ceiling conversion
-        // is subadditive, so converting the float sum once would record
-        // fewer units than the grant path debits.
-        let cost_units = pool.iter().fold(0u64, |units, m| {
-            units.saturating_add(epsilon_to_units(m.guarantee().epsilon() * trials as f64))
-        });
+        // Frame accounting in the units the session's grant will debit. A
+        // debit the grant would reject (no trials, invalid ε) charges the
+        // frame nothing: the grant below refuses it with its own error.
+        let (cost_units, cost) =
+            debit_units(pool.iter().map(|m| m.guarantee()), trials).unwrap_or((0, 0.0));
         if !self.state.would_admit_units(cost_units) {
             self.state.advance(0.0);
             self.next_index += 1;

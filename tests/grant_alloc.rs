@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator tallies heap allocations **per thread**, so
 //! the libtest harness and concurrently running tests never pollute the
-//! count. After warm-up (interned labels, the thread's audit shard, the
-//! mechanism's per-thread scratch), one `release` on an in-memory
+//! count. After warm-up (the interned stream label, the thread's audit
+//! shard and its key for the release's tuple, the mechanism's per-thread
+//! scratch), one `release` on an in-memory
 //! histogram session may allocate only what its output needs: the
 //! estimate buffer and the two `String`s of the returned `Release`. The
 //! budget debit, audit stamp and RNG stream set-up allocate nothing.
@@ -73,8 +74,9 @@ fn a_warm_release_allocates_only_its_output() {
     let mechanism = OsdpLaplaceL1::new(0.01).unwrap();
     let query = SessionQuery::bound();
 
-    // 100 warm-up releases leave the audit shard at length 100 of capacity
-    // 128, so the measured append does not grow it.
+    // 100 warm-up releases leave the audit shard's row vector at length 100
+    // of capacity 128, so the measured append does not grow it, and put
+    // the release's tuple in the shard's key table.
     for _ in 0..100 {
         session.release(&query, &mechanism).unwrap();
     }
