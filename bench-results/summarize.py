@@ -55,6 +55,12 @@ ENTRIES = [
         "dir": "compact-audit",
         "claimed": {"grant-inmem": ["mem_bytes_per_release"]},
     },
+    {
+        "entry": 17,
+        "change": "One branch-free ln for the noise kernels, block loop vectorised on AVX-512F",
+        "dir": "noise-ln",
+        "claimed": {"recover-heal": ["rel_per_s"]},
+    },
 ]
 
 

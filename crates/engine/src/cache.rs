@@ -56,6 +56,19 @@ type TaskKey = (usize, usize, usize, usize, u64, Option<BinSpec>);
 /// The row-level bin assignment closure, as stored by queries and plans.
 type BinOf<R> = Arc<dyn Fn(&R) -> Option<usize> + Send + Sync>;
 
+/// The identities a cached task is derived from, borrowed from the query,
+/// the epoch and the session; [`TaskCache::get_or_derive`] keys by their
+/// allocations (see [`TaskKey`]) and pins them in the entry.
+pub(crate) struct TaskIdentity<'a, R> {
+    pub(crate) bins: usize,
+    pub(crate) bin_of: &'a BinOf<R>,
+    pub(crate) spec: Option<&'a BinSpec>,
+    /// The policy of the epoch the release is pinned to, and its version.
+    pub(crate) policy: &'a Arc<dyn Policy<R>>,
+    pub(crate) policy_version: u64,
+    pub(crate) backend: &'a Arc<dyn Backend<R>>,
+}
+
 /// The per-key derivation slot: `None` until the first successful scan
 /// fills it. Racing callers of one key serialize on this slot's own lock —
 /// not the shard map lock — so a slow derivation never blocks hits or
@@ -107,8 +120,8 @@ impl<R> TaskCache<R> {
         &self.shards[shard_index(key, TASK_SHARDS)]
     }
 
-    /// Returns the cached task for the identity key, deriving it with
-    /// `derive` (the backend scan) on a miss.
+    /// Returns the cached task for `identity`, deriving it with `derive`
+    /// (the backend scan) on a miss.
     ///
     /// Exactly-once, without blocking the shard: the shard map lock is held
     /// only long enough to find or insert the key's **slot**, and the scan
@@ -118,19 +131,12 @@ impl<R> TaskCache<R> {
     /// while hits and derivations of *other* keys, even on the same shard,
     /// never wait behind a slow scan. A failed derivation leaves the slot
     /// empty, so errors are retried by the next caller.
-    // The parameters ARE the cache key (plus the derivation closure); a
-    // struct wrapper would just restate `TaskKey` with worse call sites.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn get_or_derive(
         &self,
-        bins: usize,
-        bin_of: &BinOf<R>,
-        spec: Option<&BinSpec>,
-        policy: &Arc<dyn Policy<R>>,
-        policy_version: u64,
-        backend: &Arc<dyn Backend<R>>,
+        identity: TaskIdentity<'_, R>,
         derive: impl FnOnce() -> Result<HistogramTask>,
     ) -> Result<Arc<HistogramTask>> {
+        let TaskIdentity { bins, bin_of, spec, policy, policy_version, backend } = identity;
         let key: TaskKey = (
             bins,
             Arc::as_ptr(bin_of) as *const () as usize,

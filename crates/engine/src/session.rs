@@ -2,7 +2,7 @@
 
 use crate::audit::{AuditKeyRef, AuditLog, AuditRecord};
 use crate::backend::{Backend, ColumnarBackend, HistogramPair, QueryPlan, RowBackend};
-use crate::cache::TaskCache;
+use crate::cache::{TaskCache, TaskIdentity};
 use crate::intern::Interner;
 use crate::persist::{GrantEvent, SessionPersistence, SessionWal};
 use osdp_attack::{EpochTransition, ReleaseStamp};
@@ -806,12 +806,14 @@ impl<R> OsdpSession<R> {
                 SessionQuery::CountBy { bins, bin_of, spec, .. },
                 Some(e),
             ) => self.tasks.get_or_derive(
-                *bins,
-                bin_of,
-                spec.as_ref(),
-                &e.policy,
-                e.version,
-                backend,
+                TaskIdentity {
+                    bins: *bins,
+                    bin_of,
+                    spec: spec.as_ref(),
+                    policy: &e.policy,
+                    policy_version: e.version,
+                    backend,
+                },
                 || self.scan_under(query, Some(&e.policy), &e.label, e.version)?.into_task(),
             ),
             _ => self.scan_under(query, None, &self.policy_label, 0)?.into_task().map(Arc::new),

@@ -187,6 +187,44 @@ mod tests {
         }
     }
 
+    /// FNV-1a hashes of ten seeded 1024-bin releases (counts 6–197 in the
+    /// non-sensitive part, as on the serving benchmark's `recover-heal`) and
+    /// of the generator's next word. They pin the noise bits of the one-sided
+    /// and the DP baseline release paths, through `release_into` and the
+    /// scalar `release` alike.
+    #[test]
+    fn releases_match_their_golden_hashes() {
+        let non_sensitive: Vec<f64> = (0..1024).map(|i| (6 + i * 37 % 192) as f64).collect();
+        let full: Vec<f64> =
+            non_sensitive.iter().zip(0..).map(|(x, i)| x + (i % 5) as f64).collect();
+        let task = task_from_counts(&full, &non_sensitive).unwrap();
+        let hash = |release: &dyn Fn(&mut ChaCha12Rng) -> Histogram| {
+            let mut rng = ChaCha12Rng::seed_from_u64(0x601D);
+            let mut words = Vec::new();
+            for _ in 0..10 {
+                words.extend(release(&mut rng).counts().iter().map(|x| x.to_bits()));
+            }
+            words.push(rng.next_u64());
+            words.iter().flat_map(|w| w.to_le_bytes()).fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        let cases: [(Box<dyn HistogramMechanism>, u64); 2] = [
+            (Box::new(OsdpLaplaceL1::new(0.01).unwrap()), 0x7E33_7F1A_6BCA_06D6),
+            (Box::new(DpLaplaceHistogram::new(1.0).unwrap()), 0x3004_FBF5_B7C6_E40C),
+        ];
+        for (mechanism, want) in cases {
+            let into = hash(&|rng| {
+                let mut out = Histogram::zeros(0);
+                mechanism.release_into(&task, rng, &mut out);
+                out
+            });
+            assert_eq!(into, want, "{} release_into hashed to {into:#018X}", mechanism.name());
+            let scalar = hash(&|rng| mechanism.release(&task, rng));
+            assert_eq!(scalar, want, "{} release", mechanism.name());
+        }
+    }
+
     #[test]
     fn output_is_non_negative_and_zero_bins_stay_zero() {
         let m = OsdpLaplaceL1::new(1.0).unwrap();

@@ -1,5 +1,6 @@
 //! The exponential distribution, the building block of one-sided noise.
 
+use crate::ln::ln;
 use osdp_core::error::{OsdpError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
@@ -66,7 +67,10 @@ impl Exponential {
     /// kernels (one uniform in `[0, 1)` per sample).
     #[inline]
     pub(crate) fn transform_unit(&self, u: f64) -> f64 {
-        -self.lambda * (1.0 - u).max(f64::MIN_POSITIVE).ln()
+        // Every double in [0, 1) is at most 1 − 2⁻⁵³, so 1 − u ≥ 2⁻⁵³ and the
+        // clamp never fires for a uniform draw; it only keeps `ln` inside its
+        // domain. The largest draw is λ · 53 ln 2 ≈ 36.7 λ.
+        -self.lambda * ln((1.0 - u).max(f64::MIN_POSITIVE))
     }
 
     /// Fills `out` with i.i.d. samples, drawing uniforms in blocks over a

@@ -4,6 +4,7 @@
 //! integer-valued alternative for count queries, and exercised by the
 //! ablation benches.
 
+use crate::ln::ln;
 use osdp_core::error::{OsdpError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
@@ -70,8 +71,8 @@ impl TwoSidedGeometric {
             let unit = &mut unit[..2 * chunk.len()];
             crate::kernels::draw_unit_block(unit, &mut bytes, rng);
             for (slot, pair) in chunk.iter_mut().zip(unit.chunks_exact(2)) {
-                let g1 = (pair[0].max(f64::MIN_POSITIVE).ln() / ln_alpha).floor() as i64;
-                let g2 = (pair[1].max(f64::MIN_POSITIVE).ln() / ln_alpha).floor() as i64;
+                let g1 = (ln(pair[0].max(f64::MIN_POSITIVE)) / ln_alpha).floor() as i64;
+                let g2 = (ln(pair[1].max(f64::MIN_POSITIVE)) / ln_alpha).floor() as i64;
                 *slot = g1 - g2;
             }
         }
@@ -92,9 +93,10 @@ impl Distribution<i64> for TwoSidedGeometric {
 /// Samples a geometric random variable counting failures before the first
 /// success, where the failure probability is `alpha`.
 fn sample_geometric<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
-    // Inverse CDF: floor(ln(U) / ln(alpha)) for U ~ Uniform(0,1).
+    // Inverse CDF: floor(ln(U) / ln(alpha)) for U ~ Uniform(0,1). `alpha`
+    // may be subnormal, outside the crate `ln`'s domain, so it takes std's.
     let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    (u.ln() / alpha.ln()).floor() as i64
+    (ln(u) / alpha.ln()).floor() as i64
 }
 
 #[cfg(test)]

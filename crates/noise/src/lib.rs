@@ -31,6 +31,14 @@
 //! **bitwise-identical** to repeated scalar `sample` calls (the scalar path
 //! stays the oracle; parity is tested per distribution), so callers switch
 //! freely between the two paths without perturbing any seeded experiment.
+//!
+//! Every inverse-CDF transform, scalar or sliced, takes its logarithm from
+//! one crate-private, branch-free `ln` built from IEEE arithmetic and bit
+//! operations only (the fdlibm reduction, within 1 ULP of `f64::ln`). Its
+//! bits do not depend on the target or the SIMD width, so the transform pass
+//! vectorises, and on x86_64 CPUs with AVX-512F the kernels run it through a
+//! copy of the block loop compiled for that feature, with the same output.
+//! Golden hashes of seeded output pin those bits.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -40,6 +48,7 @@ pub mod exponential;
 pub mod geometric;
 pub(crate) mod kernels;
 pub mod laplace;
+pub(crate) mod ln;
 pub mod one_sided;
 pub mod seeded;
 pub mod stats;

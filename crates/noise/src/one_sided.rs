@@ -74,19 +74,26 @@ impl OneSidedLaplace {
         -self.exp.median()
     }
 
+    /// The inverse-CDF transform shared by the scalar sampler and the slice
+    /// kernels: the negated exponential draw.
+    #[inline]
+    pub(crate) fn transform_unit(&self, u: f64) -> f64 {
+        -self.exp.transform_unit(u)
+    }
+
     /// Fills `out` with i.i.d. samples, drawing uniforms in blocks over a
     /// concrete RNG. Bitwise-identical to `out.len()` scalar
     /// [`sample`](Distribution::sample) calls — see
     /// [`crate::Laplace::fill`] for the full kernel contract.
     pub fn fill<R: Rng + ?Sized>(&self, out: &mut [f64], rng: &mut R) {
-        crate::kernels::fill_with(out, rng, |u| -self.exp.transform_unit(u));
+        crate::kernels::fill_with(out, rng, |u| self.transform_unit(u));
     }
 
     /// Adds one i.i.d. (non-positive) sample to every slot of `out`; same
     /// parity contract as [`OneSidedLaplace::fill`]. This is the hot kernel
     /// of `OsdpLaplace` / `OsdpLaplaceL1`'s buffer-reuse release path.
     pub fn add_assign<R: Rng + ?Sized>(&self, out: &mut [f64], rng: &mut R) {
-        crate::kernels::add_with(out, rng, |u| -self.exp.transform_unit(u));
+        crate::kernels::add_with(out, rng, |u| self.transform_unit(u));
     }
 }
 
