@@ -17,7 +17,10 @@
 //!   an uninterrupted one.
 
 use osdp::attack::verify_ledger;
-use osdp::persist::{force_unlock, TenantLedger};
+use osdp::core::budget::epsilon_to_units;
+use osdp::persist::{
+    force_unlock, EpochRecord, GrantRecord, GuaranteeTag, RefusalRecord, TenantLedger,
+};
 use osdp::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -579,4 +582,212 @@ proptest! {
         prop_assert_eq!(again.recovered().spent_units, recovered_units);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// FNV-1a over `bytes`: the digest the pinned recovery outputs below are
+/// compared by.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The label tuples the pinned history cycles through, one per frame, so
+/// no two consecutive grant frames share their labels.
+const PIN_TUPLES: [(&str, &str, &str, GuaranteeTag); 3] = [
+    ("OsdpLaplaceL1", "P-a", "bound", GuaranteeTag::Osdp),
+    ("DAWA", "P-b", "range", GuaranteeTag::Dp),
+    ("OsdpRR", "P-a", "count", GuaranteeTag::Osdp),
+];
+
+/// Grant `index` of the pinned history.
+fn pin_grant(index: u64, policy_version: u64) -> GrantRecord {
+    let (mechanism, policy, query, guarantee) = PIN_TUPLES[index as usize % 3];
+    let epsilon = 1e-3 * (1 + index % 4) as f64;
+    let trials = 1 + index % 2;
+    GrantRecord {
+        index,
+        units: epsilon_to_units(epsilon * trials as f64),
+        epsilon,
+        trials,
+        bins: 16 << (index % 3),
+        guarantee,
+        mechanism: mechanism.into(),
+        policy: policy.into(),
+        query: query.into(),
+        policy_version,
+    }
+}
+
+/// Writes the pinned history to `dir`: 12 grants and 2 refusals collapsed
+/// into a snapshot, then a tail of 18 grants, 3 refusals and two policy
+/// epoch transitions, whose last buffered frames tear when the writer
+/// crashes.
+fn write_pinned_history(dir: &std::path::Path) {
+    let (ledger, recovered) = TenantLedger::open(dir, SyncPolicy::EveryN(4)).unwrap();
+    assert!(recovered.is_fresh());
+    let refusal = |i: u64| RefusalRecord {
+        units: epsilon_to_units(0.5 + i as f64),
+        epsilon: 0.5 + i as f64,
+        mechanism: PIN_TUPLES[i as usize % 3].0.into(),
+    };
+    for i in 0..12 {
+        ledger.append_grant(&pin_grant(i, 0)).unwrap();
+        if i % 5 == 4 {
+            ledger.append_refusal(&refusal(i)).unwrap();
+        }
+    }
+    ledger.rotate_snapshot().unwrap();
+    let transition = |version: u64, boundary_seq: u64, relaxes: bool| EpochRecord {
+        version,
+        boundary_seq,
+        relaxes,
+        label: format!("P-v{version}"),
+    };
+    ledger.append_epoch_transition(&transition(1, 12, false)).unwrap();
+    for i in 12..30 {
+        if i == 20 {
+            ledger.append_epoch_transition(&transition(2, 20, true)).unwrap();
+        }
+        ledger.append_grant(&pin_grant(i, if i < 20 { 1 } else { 2 })).unwrap();
+        if i % 6 == 5 {
+            ledger.append_refusal(&refusal(i)).unwrap();
+        }
+    }
+    ledger.crash(0.5).unwrap();
+}
+
+/// The counters of an independent read of a shard.
+fn peek_counters(dir: &std::path::Path) -> (u64, u64, u64, u64, usize, usize, usize, u64) {
+    let peek = TenantLedger::peek(dir).unwrap();
+    (
+        peek.spent_units(),
+        peek.audit_units(),
+        peek.audit_seq(),
+        peek.grant_count(),
+        peek.grants.len(),
+        peek.refusals.len(),
+        peek.transitions.len(),
+        peek.truncated_bytes,
+    )
+}
+
+/// What recovery reports for a torn tail whose frames alternate between
+/// three label tuples, with refusals and two epoch transitions, pinned to
+/// the values the recovery path produced before it became one streaming
+/// pass. The on-disk bytes are pinned too: the writer's format must not
+/// move.
+#[test]
+fn pinned_torn_tail_recovers_to_the_recorded_state() {
+    let root = temp_root("pinned-torn");
+    let dir = root.join("tenant");
+    write_pinned_history(&dir);
+    let wal = std::fs::read(dir.join("wal.log")).unwrap();
+    let snapshot = std::fs::read(dir.join("snapshot.bin")).unwrap();
+    assert_eq!((wal.len(), fnv1a(&wal)), (1576, 0x6ab4_4d70_9826_c7a8), "wal.log bytes moved");
+    assert_eq!((snapshot.len(), fnv1a(&snapshot)), (167, 0x4e3c_1860_7280_178a));
+    // 29 grants (12 in the snapshot, 17 of 18 in the tail), the torn
+    // 17 bytes of the last refusal's frame discarded.
+    let spent = 113_000_000_029;
+    assert_eq!(peek_counters(&dir), (spent, spent, 29, 29, 17, 2, 2, 17));
+
+    assert!(force_unlock(&dir).unwrap());
+    let persistence = SessionPersistence::open(&dir, SyncPolicy::Always).unwrap();
+    assert!(persistence.recovered().report.is_clean());
+    let session = builder(0.0, 9).durable(persistence).build().unwrap();
+    assert_eq!(session.accountant().total_spent_units(), spent);
+    assert_eq!(session.audit_total_epsilon_units(), spent);
+    let records = session.audit_records();
+    assert_eq!(records.len(), 17);
+    assert_eq!(
+        records[0].to_json(),
+        "{\"index\": 12, \"mechanism\": \"OsdpLaplaceL1\", \"policy\": \"P-a\", \
+         \"policy_version\": 1, \"query\": \"bound\", \"bins\": 16, \"trials\": 1, \
+         \"guarantee\": \"OSDP\", \"epsilon\": 0.001}"
+    );
+    assert_eq!(
+        records[16].to_json(),
+        "{\"index\": 28, \"mechanism\": \"DAWA\", \"policy\": \"P-b\", \"policy_version\": 2, \
+         \"query\": \"range\", \"bins\": 32, \"trials\": 1, \"guarantee\": \"DP\", \
+         \"epsilon\": 0.001}"
+    );
+    assert_eq!(fnv1a(format!("{records:?}").as_bytes()), 0x9ccf_1b2d_05c0_bbb3);
+    assert_eq!(fnv1a(format!("{:?}", session.audit_ledger()).as_bytes()), 0x80ee_0cf6_1a14_f829);
+    assert_eq!(fnv1a(session.audit_json().as_bytes()), 0x3d06_80d1_ac5e_3539);
+    drop(session);
+
+    // Recovery repaired the tail: the same history, nothing left to cut.
+    assert_eq!(peek_counters(&dir), (spent, spent, 29, 29, 17, 2, 2, 0));
+    let transitions: Vec<_> = TenantLedger::peek(&dir)
+        .unwrap()
+        .transitions
+        .iter()
+        .map(|t| (t.version, t.boundary_seq, t.relaxes, t.label.clone()))
+        .collect();
+    assert_eq!(
+        transitions,
+        vec![(1, 12, false, "P-v1".to_string()), (2, 20, true, "P-v2".to_string())]
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The note recovery leaves for a frame that rotted mid-file, pinned: its
+/// byte offset, its defect and the count of frames before it. In the
+/// second case the frame before the rotten one passes its checksum but
+/// does not decode, so replay stops earlier than the checksum walk does,
+/// and the note still counts every checksummed frame before the rot.
+#[test]
+fn pinned_mid_file_corruption_note() {
+    let root = temp_root("pinned-corrupt");
+    let dir = root.join("tenant");
+    {
+        let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::Always).unwrap();
+        for i in 0..9 {
+            ledger.append_grant(&pin_grant(i, 0)).unwrap();
+        }
+    }
+    let clean = std::fs::read(dir.join("wal.log")).unwrap();
+    // Frame boundaries of the clean log (after the 16-byte header).
+    let mut starts = Vec::new();
+    let mut at = 16;
+    while at < clean.len() {
+        starts.push(at);
+        at += 8 + u32::from_le_bytes(clean[at..at + 4].try_into().unwrap()) as usize;
+    }
+    assert_eq!(starts.len(), 9);
+
+    // Rot one payload bit of frame 6: the checksum walk flags it.
+    let mut rotten = clean.clone();
+    rotten[starts[6] + 8 + 3] ^= 0x10;
+    std::fs::write(dir.join("wal.log"), &rotten).unwrap();
+    let peek = TenantLedger::peek(&dir).unwrap();
+    assert_eq!(
+        peek.report.notes,
+        vec!["wal.log holds a corrupt frame at byte 494 (crc mismatch (stored 0xa1ce73b5, actual \
+             0x0eb8540d)); the 6 frames before it are the recoverable prefix"
+            .to_string()]
+    );
+    assert_eq!((peek.grants.len(), peek.truncated_bytes), (6, 239));
+
+    // Splice a checksummed but undecodable frame in at frame 3, before the
+    // rot: replay stops there, the checksum walk goes on to the rot.
+    let mut spliced = rotten[..starts[3]].to_vec();
+    let payload = [99u8, 1, 2, 3];
+    spliced.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    spliced.extend_from_slice(&osdp::persist::crc32(&payload).to_le_bytes());
+    spliced.extend_from_slice(&payload);
+    spliced.extend_from_slice(&rotten[starts[3]..]);
+    std::fs::write(dir.join("wal.log"), &spliced).unwrap();
+    let note = "wal.log holds a corrupt frame at byte 506 (crc mismatch (stored 0xa1ce73b5, \
+                actual 0x0eb8540d)); the 7 frames before it are the recoverable prefix";
+    let peek = TenantLedger::peek(&dir).unwrap();
+    assert_eq!(peek.report.notes, vec![note.to_string()]);
+    assert_eq!((peek.grants.len(), peek.truncated_bytes), (3, 490));
+
+    let persistence = SessionPersistence::open(&dir, SyncPolicy::Always).unwrap();
+    assert_eq!(persistence.recovered().report.notes, vec![note.to_string()]);
+    assert_eq!(persistence.recovered().spent_units, 8_000_000_003);
+    drop(persistence);
+    assert_eq!(peek_counters(&dir), (8_000_000_003, 8_000_000_003, 3, 3, 3, 0, 0, 0));
+    let _ = std::fs::remove_dir_all(&root);
 }
