@@ -391,12 +391,44 @@ impl AuditLog {
     /// pre-crash counter bit for bit. The sequence counter advances to
     /// cover the record's index; replay order does not matter.
     pub fn restore(&self, record: AuditRecord, units: u64) {
+        self.restore_rows([(record.index, record.policy_version, record.key(), units)]);
+    }
+
+    /// Re-appends releases replayed from a durable ledger, each given as
+    /// `(index, version, key, units)`, as rows of the calling thread's
+    /// shard: one lock, one counter update per batch, and an allocation
+    /// only for a key the shard has not seen. Every release debits exactly
+    /// its logged `units`, and the sequence counter advances past the
+    /// highest index; order does not matter.
+    pub(crate) fn restore_rows<'a>(
+        &self,
+        releases: impl IntoIterator<Item = (u64, u64, AuditKeyRef<'a>, u64)>,
+    ) {
+        let mut releases = releases.into_iter().peekable();
+        if releases.peek().is_none() {
+            return;
+        }
+        let (mut next, mut units) = (0u64, 0u64);
+        {
+            let mut shard = self.shards[thread_shard()].lock();
+            let Shard { rows, table } = &mut *shard;
+            let table = table.get_or_insert_default();
+            rows.reserve(releases.size_hint().0);
+            for (index, version, key, debit) in releases {
+                debug_assert!(index <= INDEX_MASK && version <= MAX_VERSION);
+                rows.push(Row {
+                    stamp: index | (version << VERSION_SHIFT),
+                    key: table.key_id(&key),
+                });
+                next = next.max(index + 1);
+                units = units.wrapping_add(debit);
+            }
+        }
+        self.spent_units.fetch_add(units, Ordering::AcqRel);
         // Recovery is single-writer, so reading the version bits and
         // fetch_max'ing the packed word is race-free here.
         let version = self.seq.load(Ordering::Acquire) >> VERSION_SHIFT;
-        let packed = (record.index + 1) | (version << VERSION_SHIFT);
-        self.seq.fetch_max(packed, Ordering::AcqRel);
-        self.push_row(record.index, record.policy_version, record.key(), units);
+        self.seq.fetch_max(next | (version << VERSION_SHIFT), Ordering::AcqRel);
     }
 
     /// Allocates the next release index with one atomic increment and
@@ -409,8 +441,8 @@ impl AuditLog {
 
     /// Appends the row of the release stamped `(index, version)` to the
     /// calling thread's shard, and debits `units` from the ε accumulator.
-    /// Every append — grant path, [`AuditLog::append_versioned`],
-    /// [`AuditLog::restore`] — goes through here. Only the thread's own
+    /// Every live append — grant path, [`AuditLog::append_versioned`] —
+    /// goes through here; recovery goes through [`AuditLog::restore_rows`]. Only the thread's own
     /// shard mutex is taken; a warm append clones no `Arc`.
     ///
     /// Live appends debit [`AuditKeyRef::units`] — the **same**

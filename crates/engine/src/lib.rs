@@ -317,11 +317,15 @@
 //! file of length-prefixed, CRC-checksummed records of the *fixed-point
 //! debit units* the accountant admitted — after the budget CAS admits and
 //! *before* any noise is sampled. Recovery ([`SessionPersistence::open`])
-//! loads the latest snapshot, replays the WAL tail (truncating at the first
-//! torn or checksum-failing frame), and seeds a fresh accountant + audit
+//! loads the latest snapshot, replays the WAL tail in one pass (one CRC
+//! check per frame; it stops at the first torn or checksum-failing frame
+//! and truncates the file there), and seeds a fresh accountant + audit
 //! log whose counters equal the pre-crash ones **bit for bit** — integer
 //! unit addition commutes, so replay order cannot drift the totals and
-//! `osdp_attack::verify_ledger` balances over the recovered state.
+//! `osdp_attack::verify_ledger` balances over the recovered state. The
+//! replayed grants reach the audit log as rows over its key table, and
+//! frames that repeat their predecessor's labels share them, so a tail of
+//! one tenant's releases costs no allocation per frame.
 //!
 //! * **Sync-policy trade-offs** ([`SyncPolicy`]): `Always` fsyncs before
 //!   the grant call returns — a release is durable before its sample
@@ -345,7 +349,8 @@
 //!   durability: all five grant paths (`release`, `release_task`, trials,
 //!   pool routing, record logging) ride it with no API change, and a
 //!   crash mid-batch loses only grants whose call never returned — the
-//!   recovery format and the torn-tail truncation rule are unchanged.
+//!   recovery format and the torn-tail truncation rule are the same as for
+//!   the other policies.
 //! * **Single-writer-per-tenant.** Each tenant shard directory holds a
 //!   `LOCK` file created with `O_EXCL`; a second concurrent opener is
 //!   refused. A crash leaves the `LOCK` behind by design — reopening after
@@ -392,7 +397,12 @@
 //!   kept. An IO fault can therefore waste budget, never resurrect it, and
 //!   recovery replays at most the acknowledged history plus
 //!   conservatively-retained frames (over-counting is the safe direction).
-//! * **Recovery repairs what it can prove.** A corrupt snapshot is
+//! * **Recovery repairs what it can prove.** A torn or corrupt WAL tail is
+//!   cut off by truncating the file to its valid prefix, which is never
+//!   rewritten, so a fault during the repair cannot lose a durable frame; a
+//!   snapshot rotation replaces the WAL by temp file and rename, and a
+//!   failed replacement poisons the writer like a failed fsync. A corrupt
+//!   snapshot is
 //!   quarantined (`snapshot.corrupt-<gen>`) and recovery falls back to the
 //!   parked prior generation or the WAL marker; a `LOCK` whose recorded
 //!   writer is provably dead (dead pid, or a previous boot) is auto-cleared.

@@ -9,7 +9,7 @@
 //! ride along only as display metadata (ledger entries, reports) — they are
 //! never summed to rebuild a counter.
 
-use crate::audit::AuditRecord;
+use crate::audit::{AuditKeyRef, AuditLog};
 use osdp_core::budget::{epsilon_to_units, units_to_epsilon, LedgerEntry};
 use osdp_core::error::Result;
 use osdp_core::{Guarantee, PrivacyGuarantee};
@@ -94,9 +94,9 @@ impl SessionWal {
             trials: event.trials as u64,
             bins: event.bins as u64,
             guarantee: tag_of(event.guarantee),
-            mechanism: event.mechanism.to_string(),
-            policy: event.policy.to_string(),
-            query: event.query.to_string(),
+            mechanism: Arc::from(event.mechanism),
+            policy: Arc::from(event.policy),
+            query: Arc::from(event.query),
             policy_version: event.policy_version,
         })
     }
@@ -118,7 +118,7 @@ impl SessionWal {
         self.ledger.append_refusal(&RefusalRecord {
             units: epsilon_to_units(epsilon),
             epsilon,
-            mechanism: mechanism.to_string(),
+            mechanism: Arc::from(mechanism),
         })
     }
 
@@ -173,10 +173,10 @@ impl SessionWal {
     }
 }
 
-/// What recovery reconstructed for one session, in the engine's own types:
-/// seed values for [`osdp_core::BudgetAccountant::recovered`] and
-/// [`crate::AuditLog::recovered`], plus the replayed tail as
-/// `(AuditRecord, stored units)` pairs for [`crate::AuditLog::restore`].
+/// What recovery reconstructed for one session: seed values for
+/// [`osdp_core::BudgetAccountant::recovered`] and
+/// [`crate::AuditLog::recovered`], plus the replayed tail, which
+/// [`crate::SessionBuilder::build`] restores into the audit log as rows.
 #[derive(Debug, Clone)]
 pub struct RecoveredSession {
     /// Total admitted spend in fixed-point units (base + replayed tail) —
@@ -189,8 +189,10 @@ pub struct RecoveredSession {
     /// Ledger entries summarising the collapsed base history (one per
     /// `(mechanism, policy, guarantee)` aggregate row).
     pub base_entries: Vec<LedgerEntry>,
-    /// Replayed tail grants with their stored fixed-point debits.
-    pub tail: Vec<(AuditRecord, u64)>,
+    /// Replayed tail grants in log order, as the WAL holds them: each
+    /// carries its stored fixed-point debit (`units`), and grants that
+    /// repeat their predecessor's labels share them.
+    pub tail: Vec<GrantRecord>,
     /// Refusals logged across base + tail.
     pub refusals: u64,
     /// Grants logged across base + tail.
@@ -234,30 +236,13 @@ impl RecoveredSession {
                 guarantee: kind_of(row.guarantee),
             })
             .collect();
-        let tail = recovered
-            .grants
-            .iter()
-            .map(|g| {
-                let record = AuditRecord {
-                    index: g.index,
-                    mechanism: Arc::from(g.mechanism.as_str()),
-                    policy: Arc::from(g.policy.as_str()),
-                    query: Arc::from(g.query.as_str()),
-                    bins: g.bins as usize,
-                    trials: g.trials as usize,
-                    guarantee: guarantee_of(g.guarantee, g.epsilon),
-                    policy_version: g.policy_version,
-                };
-                (record, g.units)
-            })
-            .collect();
         let policy_version = recovered.current_policy_version();
         Self {
             spent_units,
             base_seq: recovered.base.counters.audit_seq,
             base_units: recovered.base.counters.audit_units,
             base_entries,
-            tail,
+            tail: recovered.grants,
             refusals,
             grants,
             degraded: recovered.degraded,
@@ -275,6 +260,23 @@ impl RecoveredSession {
             && self.spent_units == 0
             && self.transitions.is_empty()
     }
+}
+
+/// Restores a replayed `tail` into `audit` as rows, each debiting the
+/// fixed-point units its grant logged. The key borrows the grant's labels,
+/// so only a tuple the audit shard has not seen allocates.
+pub(crate) fn restore_tail(tail: &[GrantRecord], audit: &AuditLog) {
+    audit.restore_rows(tail.iter().map(|g| {
+        let key = AuditKeyRef {
+            mechanism: &g.mechanism,
+            policy: &g.policy,
+            query: &g.query,
+            bins: g.bins as usize,
+            trials: g.trials as usize,
+            guarantee: guarantee_of(g.guarantee, g.epsilon),
+        };
+        (g.index, g.policy_version, key, g.units)
+    }));
 }
 
 /// One tenant's durable budget plane, ready to back a session: the opened

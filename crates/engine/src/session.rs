@@ -489,9 +489,7 @@ impl<R> SessionBuilder<R> {
                     recovered.base_units,
                     recovered.base_entries,
                 );
-                for (record, units) in recovered.tail {
-                    audit.restore(record, units);
-                }
+                crate::persist::restore_tail(&recovered.tail, &audit);
                 let version = recovered.policy_version;
                 (audit, Some(wal), recovered.spent_units, version, recovered.transitions)
             }

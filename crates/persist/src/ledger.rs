@@ -14,12 +14,25 @@
 //! ## Crash consistency
 //!
 //! Snapshot rotation orders its writes so that every crash point recovers:
-//! flush + fsync the WAL, rename the new snapshot into place, then rewrite
-//! the WAL as `header(generation+1) + marker`. A crash between the rename
-//! and the rewrite leaves a WAL whose header generation is *older* than the
-//! snapshot's — recovery detects the pair mismatch and ignores the stale
-//! records (the snapshot already contains them), which is what makes the
-//! rotation atomic without double-counting or loss.
+//! flush + fsync the WAL, rename the new snapshot into place, then replace
+//! the WAL with `header(generation+1) + marker + transitions`, written to
+//! `wal.log.tmp` and renamed over `wal.log`. A crash (or a failed write)
+//! before that rename leaves the old WAL whole, its header generation
+//! *older* than the snapshot's — recovery detects the pair mismatch and
+//! ignores the stale grants (the snapshot already contains them) while
+//! keeping the stale file's epoch transitions, which is what makes the
+//! rotation atomic without double-counting or loss. A failed replacement
+//! poisons the writer, so nothing is acknowledged into the stale file.
+//!
+//! ## Recovery
+//!
+//! Opening a shard reads `wal.log` once and replays its frames in one pass
+//! (one CRC check per frame, labels shared between frames that repeat
+//! them). A torn or corrupt tail is repaired by **truncating** the file to
+//! the valid prefix and fsyncing; the prefix is never rewritten, so a
+//! fault during the repair cannot cost a durable frame. Only a WAL with no
+//! usable header (written in place: it holds no frame) or a stale
+//! generation (replaced as rotation does) is rewritten.
 //!
 //! ## Write paths
 //!
@@ -40,7 +53,7 @@ use crate::record::{
 };
 use crate::snapshot::{marker_frame, MirrorState, SnapshotState};
 use crate::vfs::{persist_error, StdVfs, Vfs};
-use crate::wal::{encode_frame_into, replay, RetryPolicy, SyncPolicy, WalWriter};
+use crate::wal::{encode_frame_into, replay_each, RetryPolicy, SyncPolicy, WalWriter};
 use osdp_core::error::{FaultClass, OsdpError, PersistError, PersistOp, Result};
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
@@ -248,6 +261,11 @@ impl RecoveryReport {
 /// plain integers and replays `grants` one record at a time, so the
 /// reconstructed accountant and audit totals are integer sums of exactly
 /// what was durably logged — bit for bit, no float round-trip.
+///
+/// The WAL tail is decoded straight into these vectors in one pass over
+/// the file's bytes; grants and refusals whose labels repeat the previous
+/// frame's share them (`Arc<str>`), so a tail of one tenant's releases
+/// holds one copy of each label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredLedger {
     /// The snapshot state recovery started from (generation 0 and all-zero
@@ -266,7 +284,8 @@ pub struct RecoveredLedger {
     /// bit-for-bit for the stale-policy verifier.
     pub transitions: Vec<EpochRecord>,
     /// Bytes discarded from a torn or corrupt WAL tail (0 after a clean
-    /// shutdown).
+    /// shutdown). [`TenantLedger::open`] truncates them off the file;
+    /// [`TenantLedger::peek`] leaves them in place.
     pub truncated_bytes: u64,
     /// True when the snapshot file was missing or unreadable and the base
     /// counters were reconstructed from the WAL's snapshot marker instead:
@@ -453,19 +472,27 @@ impl TenantLedger {
         vfs: Arc<dyn Vfs>,
         lock_report: RecoveryReport,
     ) -> Result<(Self, RecoveredLedger)> {
-        let mut recovered = read_state(vfs.as_ref(), dir, true)?;
+        let (mut recovered, repair) = read_state(vfs.as_ref(), dir, true)?;
         recovered.report.cleared_stale_lock = lock_report.cleared_stale_lock;
         recovered.report.notes.splice(0..0, lock_report.notes);
         let wal_path = dir.join(WAL_FILE);
         let mut file = vfs.open_rw(&wal_path).map_err(|e| pe(PersistOp::Open, &wal_path, &e))?;
         let len = file.seek(SeekFrom::End(0)).map_err(|e| pe(PersistOp::Open, &wal_path, &e))?;
         let mut writer = WalWriter::new(file, wal_path, len, options.retry);
-        let expected = wal_len_after_recovery(&recovered, len);
-        if expected != len {
-            // Torn tail or stale/partial header: rewrite the file to the
-            // recovered prefix so the next crash has a clean base.
-            writer.rewrite(&wal_image(&recovered)).map_err(OsdpError::from)?;
+        // Leave the next crash a clean base: cut a torn or corrupt tail off
+        // (the valid prefix stays as it is), or write a fresh WAL when the
+        // old one has no usable header or a stale generation.
+        match repair {
+            WalRepair::None => Ok(()),
+            WalRepair::Truncate(valid_len) => writer.truncate_to(valid_len),
+            WalRepair::Init => {
+                writer.rewrite_in_place(&wal_image(&recovered.base, &recovered.transitions))
+            }
+            WalRepair::Replace => {
+                writer.replace(vfs.as_ref(), &wal_image(&recovered.base, &recovered.transitions))
+            }
         }
+        .map_err(OsdpError::from)?;
         let mut mirror = MirrorState::from_snapshot(&recovered.base);
         for grant in &recovered.grants {
             mirror.apply_grant(grant);
@@ -506,12 +533,12 @@ impl TenantLedger {
     /// tests that need an independent view of what is on disk; racing a
     /// live writer sees some durable prefix.
     pub fn peek(dir: impl AsRef<Path>) -> Result<RecoveredLedger> {
-        read_state(&StdVfs, dir.as_ref(), false)
+        Self::peek_with_vfs(dir, &StdVfs)
     }
 
     /// [`TenantLedger::peek`] over an explicit file system.
     pub fn peek_with_vfs(dir: impl AsRef<Path>, vfs: &dyn Vfs) -> Result<RecoveredLedger> {
-        read_state(vfs, dir.as_ref(), false)
+        read_state(vfs, dir.as_ref(), false).map(|(recovered, _)| recovered)
     }
 
     /// Verifies this shard's cold data (WAL frame CRCs, snapshot codecs)
@@ -570,6 +597,9 @@ impl TenantLedger {
         if inner.crashed {
             return Err(crashed_err());
         }
+        // A poisoned writer refuses before anything is buffered, even when
+        // the sync policy would not flush this append.
+        inner.writer.ensure_usable()?;
         match record {
             RecordRef::Grant(g) => inner.mirror.apply_grant(g),
             RecordRef::Refusal(_) => inner.mirror.apply_refusal(),
@@ -789,63 +819,50 @@ pub(crate) fn rotate_locked(shared: &Shared, inner: &mut Inner) -> Result<()> {
     vfs.rename(&tmp, &snap).map_err(|e| pe(PersistOp::Rename, &tmp, &e))?;
     let _ = vfs.sync_dir(&shared.dir);
     inner.mirror.generation = generation;
-    // Reset the WAL behind the new snapshot. A crash before this block
-    // leaves WAL generation < snapshot generation: recovery ignores the
-    // (now collapsed) records instead of double-counting them.
-    let base = RecoveredLedger {
-        base: snapshot,
-        grants: Vec::new(),
-        refusals: Vec::new(),
-        // Grants collapse into the snapshot; transitions do not — the
-        // fresh WAL re-carries the full version history.
-        transitions: inner.mirror.transitions.clone(),
-        truncated_bytes: 0,
-        degraded: false,
-        report: RecoveryReport::default(),
-    };
-    inner.writer.rewrite(&wal_image(&base)).map_err(OsdpError::from)?;
+    // Replace the WAL behind the new snapshot. Until the replacement lands,
+    // wal.log is the old file, at a generation below the snapshot's:
+    // recovery ignores its (now collapsed) grants instead of
+    // double-counting them, and keeps its transitions, which the snapshot
+    // does not carry. A failed replacement poisons the writer.
+    let image = wal_image(&snapshot, &inner.mirror.transitions);
+    inner.writer.replace(vfs, &image).map_err(OsdpError::from)?;
     inner.unsynced = 0;
     inner.frames_since_rotation = 0;
     Ok(())
 }
 
-/// The byte length `wal.log` should have after recovering `recovered` from
-/// a file currently `len` bytes long (used to decide whether a rewrite is
-/// needed).
-fn wal_len_after_recovery(recovered: &RecoveredLedger, len: u64) -> u64 {
-    if recovered.truncated_bytes > 0 || len < WAL_HEADER as u64 {
-        // Rewrite to the valid prefix.
-        u64::MAX
-    } else {
-        len
-    }
-}
-
-/// Builds the byte image a rewritten `wal.log` should hold: header at the
+/// The bytes of a fresh `wal.log` continuing `base`: the header at the
 /// base generation, a marker when there is a snapshot to mark, then the
-/// recovered tail frames.
-fn wal_image(recovered: &RecoveredLedger) -> Vec<u8> {
+/// epoch transitions (grants and refusals are collapsed into `base`;
+/// transitions are not).
+fn wal_image(base: &SnapshotState, transitions: &[EpochRecord]) -> Vec<u8> {
     let mut image = Vec::with_capacity(WAL_HEADER + 256);
     image.extend_from_slice(WAL_MAGIC);
-    image.extend_from_slice(&recovered.base.generation.to_le_bytes());
-    if recovered.base.generation > 0 {
-        image.extend_from_slice(&marker_frame(recovered.base.generation, recovered.base.counters));
+    image.extend_from_slice(&base.generation.to_le_bytes());
+    if base.generation > 0 {
+        image.extend_from_slice(&marker_frame(base.generation, base.counters));
     }
-    // Interleaving of the tail is unknown after a crash; grants-then-
-    // refusals preserves every total (replay is order-independent), and
-    // transitions carry their own ordering (`version`, `boundary_seq`), so
-    // writing them first changes nothing either.
     let mut scratch = Vec::with_capacity(128);
-    for transition in &recovered.transitions {
+    for transition in transitions {
         encode_frame_into(&mut image, &mut scratch, RecordRef::Epoch(transition));
     }
-    for grant in &recovered.grants {
-        encode_frame_into(&mut image, &mut scratch, RecordRef::Grant(grant));
-    }
-    for refusal in &recovered.refusals {
-        encode_frame_into(&mut image, &mut scratch, RecordRef::Refusal(refusal));
-    }
     image
+}
+
+/// How opening a shard must repair `wal.log` once its state is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WalRepair {
+    /// The file is exactly its valid prefix.
+    None,
+    /// Cut the file back to this length, the end of the valid frame
+    /// prefix: the tail after it is torn or corrupt.
+    Truncate(u64),
+    /// Write a fresh WAL in place: the file is shorter than its header, so
+    /// it holds no frame to lose.
+    Init,
+    /// Replace the file with a fresh WAL: its generation is behind the
+    /// snapshot's, and its epoch transitions must survive the swap.
+    Replace,
 }
 
 /// Loads the snapshot base: `snapshot.bin`, falling back to the parked
@@ -915,9 +932,16 @@ fn load_snapshot(
 }
 
 /// Reads and reconciles `snapshot.bin` + `wal.log` (shared by `open` and
-/// `peek`). In `repair` mode a corrupt snapshot is quarantined on disk;
-/// otherwise nothing is ever written.
-fn read_state(vfs: &dyn Vfs, dir: &Path, repair: bool) -> Result<RecoveredLedger> {
+/// `peek`), and says how `open` must repair the WAL. In `repair` mode a
+/// corrupt snapshot is quarantined on disk; otherwise nothing is ever
+/// written.
+///
+/// The WAL tail is read in one pass ([`replay_each`]): each frame's CRC is
+/// checked once and its record goes straight into the recovered vectors.
+/// Only when replay stops short of the end does a verify-only walk
+/// ([`crate::wal::WalReader::verify_frames`]) look at the bytes after the
+/// valid prefix, to tell mid-file corruption from a torn tail.
+fn read_state(vfs: &dyn Vfs, dir: &Path, repair: bool) -> Result<(RecoveredLedger, WalRepair)> {
     let mut report = RecoveryReport::default();
     let wal_path = dir.join(WAL_FILE);
     let wal = match vfs.read(&wal_path) {
@@ -934,94 +958,72 @@ fn read_state(vfs: &dyn Vfs, dir: &Path, repair: bool) -> Result<RecoveredLedger
     };
     let snapshot = load_snapshot(vfs, dir, repair, wal_gen_hint, &mut report)?;
     let base_or_default = snapshot.unwrap_or_default();
+    let recovered = |base, transitions, truncated_bytes, degraded, report| RecoveredLedger {
+        base,
+        grants: Vec::new(),
+        refusals: Vec::new(),
+        transitions,
+        truncated_bytes,
+        degraded,
+        report,
+    };
     if wal.len() < WAL_HEADER {
         // Empty or mid-rewrite header: no tail survived; the snapshot (if
         // any) is the whole durable state.
-        return Ok(RecoveredLedger {
-            base: base_or_default,
-            grants: Vec::new(),
-            refusals: Vec::new(),
-            transitions: Vec::new(),
-            truncated_bytes: wal.len() as u64,
-            degraded: false,
-            report,
-        });
+        let truncated = wal.len() as u64;
+        return Ok((
+            recovered(base_or_default, Vec::new(), truncated, false, report),
+            WalRepair::Init,
+        ));
     }
     if &wal[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(OsdpError::Persistence("wal.log has a bad magic header".into()));
     }
+    let body = &wal[WAL_HEADER..];
     let wal_generation = wal_gen_hint;
     let snapshot_generation = base_or_default.generation;
     if wal_generation < snapshot_generation {
-        // Rotation crashed between the snapshot rename and the WAL rewrite:
-        // every grant/refusal in the WAL is already collapsed into the
-        // snapshot. Transitions are *not* collapsed, so they alone are
-        // harvested from the stale file — they carry their own ordering
+        // Rotation crashed between the snapshot rename and the WAL
+        // replacement: every grant/refusal in the WAL is already collapsed
+        // into the snapshot. Transitions are *not* collapsed, so they alone
+        // are harvested from the stale file — they carry their own ordering
         // and version identity, so re-reading them can never double-count.
-        let transitions = sorted_transitions(
-            replay(&wal[WAL_HEADER..]).records.into_iter().filter_map(|record| match record {
-                WalRecord::EpochTransition(t) => Some(t),
-                _ => None,
-            }),
-        );
-        return Ok(RecoveredLedger {
-            base: base_or_default,
-            grants: Vec::new(),
-            refusals: Vec::new(),
-            transitions,
-            truncated_bytes: (wal.len() - WAL_HEADER) as u64,
-            degraded: false,
-            report,
+        let mut transitions = Vec::new();
+        let harvest = replay_each(body, |record| {
+            if let WalRecord::EpochTransition(t) = record {
+                transitions.push(t);
+            }
+            Ok::<(), std::convert::Infallible>(())
         });
+        let Ok(_) = harvest;
+        let transitions = sorted_transitions(transitions);
+        let stale = recovered(base_or_default, transitions, body.len() as u64, false, report);
+        return Ok((stale, WalRepair::Replace));
     }
-    // Verify-only preflight (no payload decode): distinguishes *mid-file
-    // corruption* — bytes that were durable and then rotted, which replay
-    // will silently truncate at — from the benign torn tail of an
-    // interrupted append, so the report says which one recovery is about to
-    // act on.
-    let preflight = crate::wal::WalReader::verify_frames(&wal[WAL_HEADER..]);
-    if let Some(corruption) = preflight.corruption {
-        report.notes.push(format!(
-            "wal.log holds a corrupt frame at byte {} ({}); the {} frames before it are the \
-             recoverable prefix",
-            corruption.offset + WAL_HEADER as u64,
-            corruption.defect,
-            preflight.frames
-        ));
-    }
-    let outcome = replay(&wal[WAL_HEADER..]);
-    let mut records = outcome.records.into_iter();
-    let (base, degraded) = if wal_generation == snapshot_generation {
-        (base_or_default, false)
-    } else {
-        // WAL is ahead of the snapshot: a lost/deleted/quarantined primary
-        // with no matching prev. Fall back to the marker's counter block —
-        // totals survive, aggregate rows do not.
-        match records.next() {
-            Some(WalRecord::SnapshotMarker { generation, counters })
-                if generation == wal_generation =>
-            {
-                report.used_marker_fallback = true;
-                report.notes.push(format!(
-                    "base counters reconstructed from the WAL marker at generation \
-                     {wal_generation} (per-mechanism rows lost)"
-                ));
-                let base = SnapshotState { generation: wal_generation, counters, rows: Vec::new() };
-                (base, true)
-            }
-            _ => {
-                return Err(OsdpError::Persistence(format!(
-                    "wal.log continues snapshot generation {wal_generation} but snapshot.bin \
-                     is at generation {snapshot_generation} and the WAL carries no marker to \
-                     recover from"
-                )));
-            }
-        }
+    let no_marker = || {
+        OsdpError::Persistence(format!(
+            "wal.log continues snapshot generation {wal_generation} but snapshot.bin is at \
+             generation {snapshot_generation} and the WAL carries no marker to recover from"
+        ))
     };
-    let mut grants = Vec::new();
-    let mut refusals = Vec::new();
-    let mut transitions = Vec::new();
-    for record in records {
+    // A WAL ahead of the snapshot (a lost/deleted/quarantined primary with
+    // no matching prev) must open with its rotation marker, whose counter
+    // block then stands in for the snapshot: totals survive, aggregate rows
+    // do not.
+    let mut base = (wal_generation == snapshot_generation).then_some(base_or_default);
+    let (mut grants, mut refusals, mut transitions) = (Vec::new(), Vec::new(), Vec::new());
+    let (valid_len, frames) = replay_each(body, |record| {
+        let Some(base) = &base else {
+            return match record {
+                WalRecord::SnapshotMarker { generation, counters }
+                    if generation == wal_generation =>
+                {
+                    base = Some(SnapshotState { generation, counters, rows: Vec::new() });
+                    Ok(())
+                }
+                _ => Err(no_marker()),
+            };
+        };
         match record {
             WalRecord::Grant(g) => grants.push(g),
             WalRecord::Refusal(r) => refusals.push(r),
@@ -1035,16 +1037,49 @@ fn read_state(vfs: &dyn Vfs, dir: &Path, repair: bool) -> Result<RecoveredLedger
                 }
             }
         }
+        Ok(())
+    })?;
+    let base = base.ok_or_else(no_marker)?;
+    if valid_len < body.len() {
+        // Replay stopped early. A verify-only walk of the rest (no payload
+        // decode) tells *mid-file corruption* — bytes that were durable and
+        // then rotted — from the benign torn tail of an interrupted append,
+        // so the report says which one recovery is about to cut off.
+        let rest = crate::wal::WalReader::verify_frames(&body[valid_len..]);
+        if let Some(corruption) = rest.corruption {
+            report.notes.push(format!(
+                "wal.log holds a corrupt frame at byte {} ({}); the {} frames before it are the \
+                 recoverable prefix",
+                (WAL_HEADER + valid_len) as u64 + corruption.offset,
+                corruption.defect,
+                frames + rest.frames
+            ));
+        }
     }
-    Ok(RecoveredLedger {
+    let degraded = wal_generation != snapshot_generation;
+    if degraded {
+        report.used_marker_fallback = true;
+        report.notes.push(format!(
+            "base counters reconstructed from the WAL marker at generation {wal_generation} \
+             (per-mechanism rows lost)"
+        ));
+    }
+    let truncated_bytes = (body.len() - valid_len) as u64;
+    let repair = if truncated_bytes > 0 {
+        WalRepair::Truncate((WAL_HEADER + valid_len) as u64)
+    } else {
+        WalRepair::None
+    };
+    let recovered = RecoveredLedger {
         base,
         grants,
         refusals,
         transitions: sorted_transitions(transitions),
-        truncated_bytes: (wal.len() - WAL_HEADER - outcome.valid_len) as u64,
+        truncated_bytes,
         degraded,
         report,
-    })
+    };
+    Ok((recovered, repair))
 }
 
 /// Normalizes recovered transitions: sorted by version, duplicates (a
@@ -1198,7 +1233,7 @@ mod tests {
         let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
         assert_eq!(recovered.grants.len(), peek.grants.len());
         assert_eq!(recovered.spent_units(), 250 * peek.grants.len() as u64);
-        // Open rewrote the file: a second recovery sees a clean log.
+        // Open truncated the torn tail: a second recovery sees a clean log.
         force_unlock(&dir).unwrap();
         let again = TenantLedger::peek(&dir).unwrap();
         assert_eq!(again.truncated_bytes, 0);
@@ -1256,6 +1291,33 @@ mod tests {
         assert_eq!(recovered.base.generation, 1);
         assert_eq!(recovered.spent_units(), 300, "stale records are not re-added");
         assert!(recovered.grants.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_empty_stale_wal_is_replaced_before_appends_land_in_it() {
+        let dir = tmp_dir("stale-empty");
+        {
+            let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::Always).unwrap();
+            for i in 0..3 {
+                ledger.append_grant(&grant(i, 100)).unwrap();
+            }
+            ledger.rotate_snapshot().unwrap();
+        }
+        // The rotation crash window of a WAL that held no frame: the
+        // header still continues generation 0, the snapshot is at 1.
+        let mut header = WAL_MAGIC.to_vec();
+        header.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(dir.join(WAL_FILE), &header).unwrap();
+        {
+            let (ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::Always).unwrap();
+            assert_eq!(recovered.spent_units(), 300);
+            ledger.append_grant(&grant(3, 50)).unwrap();
+        }
+        // The acknowledged grant went into a WAL recovery reads.
+        let (_ledger, recovered) = TenantLedger::open(&dir, SyncPolicy::Always).unwrap();
+        assert_eq!(recovered.spent_units(), 350);
+        assert_eq!(recovered.grants.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,9 @@
 //!   markers, hand-serialized (tag byte, little-endian integers,
 //!   length-prefixed strings — no serde, the vendored shim is marker-only).
 //! * [`wal`] — length-prefixed, CRC-checksummed framing; [`replay`] decodes
-//!   the longest valid frame prefix and reports where a torn tail begins.
+//!   the longest valid frame prefix in one pass (one CRC check per frame,
+//!   labels shared between frames that repeat them) and reports where a
+//!   torn tail begins.
 //! * [`snapshot`] — the compact per-tenant snapshot: generation counter,
 //!   unit totals, audit sequence, and per-(mechanism, policy, guarantee)
 //!   aggregate rows.
@@ -48,7 +50,10 @@
 //! duplicates a torn prefix mid-file. A failed **fsync is permanent for the
 //! handle**: the page-cache state is unknown, the handle is poisoned, and
 //! the only safe continuation is reopen + recover — the ledger never
-//! re-fsyncs a descriptor whose fsync already failed. A corrupt snapshot is
+//! re-fsyncs a descriptor whose fsync already failed. A snapshot rotation
+//! replaces the WAL by writing the new one to `wal.log.tmp` and renaming it
+//! into place; if any step fails the handle is poisoned too, so no grant is
+//! acknowledged into a WAL that recovery would ignore. A corrupt snapshot is
 //! quarantined as `snapshot.corrupt-<gen>` with fallback to the parked
 //! prior generation (`snapshot.prev`) or the WAL marker, all surfaced in a
 //! [`RecoveryReport`].
@@ -56,11 +61,21 @@
 //! ## Durability contract
 //!
 //! A record is **durable** once its frame has been written and fsync'd; the
-//! [`SyncPolicy`] decides when that happens. On recovery, replay stops at
-//! the first torn or checksum-failing frame and truncates the file there:
-//! the recovered spent total is the sum of durably-logged grants — never
-//! more than was actually admitted, and with [`SyncPolicy::Always`] never
-//! less. One writer per tenant shard, enforced by a `LOCK` file.
+//! [`SyncPolicy`] decides when that happens. On recovery, replay reads the
+//! WAL once and stops at the first torn, checksum-failing or undecodable
+//! frame: the recovered spent total is the sum of durably-logged grants —
+//! never more than was actually admitted, and with [`SyncPolicy::Always`]
+//! never less. Only then, and only over the bytes after the valid prefix,
+//! does a verify-only checksum walk run, so the [`RecoveryReport`] can tell
+//! mid-file corruption from a torn tail.
+//!
+//! Opening a shard repairs a torn or corrupt tail by **truncating** the
+//! file to the valid prefix and fsyncing. The prefix is never rewritten, so
+//! a fault during the repair may refuse the open but cannot lose a durable
+//! frame. A WAL is rewritten only when its header is missing or short (it
+//! then holds no frame) or its generation is behind the snapshot's (it is
+//! then replaced the way rotation replaces it). One writer per tenant
+//! shard, enforced by a `LOCK` file.
 //!
 //! Buffered use — fsync once per `n` appends, or with `EveryN(u32::MAX)`
 //! only on an explicit sync, a snapshot or drop — is [`SyncPolicy::EveryN`].

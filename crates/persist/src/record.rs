@@ -6,8 +6,14 @@
 //! anyway. Every integer that matters for accounting is stored as the
 //! **fixed-point unit count the grant path admitted**, so recovery is pure
 //! integer addition: no float round-trip can perturb the recovered totals.
+//!
+//! Grant and refusal labels decode into shared `Arc<str>`s. A `Decoder`
+//! remembers the previous frame's labels and hands out another reference
+//! when a frame repeats them byte for byte, so replaying a tail whose
+//! frames share their labels allocates nothing per frame.
 
 use osdp_core::error::{OsdpError, Result};
+use std::sync::Arc;
 
 /// Record tag bytes (the first payload byte of every frame).
 const TAG_GRANT: u8 = 1;
@@ -66,11 +72,11 @@ pub struct GrantRecord {
     /// Guarantee kind of the release.
     pub guarantee: GuaranteeTag,
     /// Mechanism display name.
-    pub mechanism: String,
+    pub mechanism: Arc<str>,
     /// Policy label the release was evaluated under.
-    pub policy: String,
+    pub policy: Arc<str>,
     /// Query label.
-    pub query: String,
+    pub query: Arc<str>,
     /// Policy epoch version the release was stamped with (0 for sessions
     /// that never transition).
     pub policy_version: u64,
@@ -94,7 +100,7 @@ pub struct RefusalRecord {
     /// The requested ε total.
     pub epsilon: f64,
     /// Mechanism display name.
-    pub mechanism: String,
+    pub mechanism: Arc<str>,
 }
 
 /// The counter block shared by snapshots and snapshot markers.
@@ -222,7 +228,9 @@ impl RecordRef<'_> {
     }
 
     /// Clones the borrowed record into its owned form (the group-commit
-    /// submission path, which must ship the record to the committer thread).
+    /// submission path, which must ship the record to the committer
+    /// thread). Labels are shared, so a grant costs three reference-count
+    /// increments.
     pub(crate) fn to_owned_record(self) -> WalRecord {
         match self {
             RecordRef::Grant(g) => WalRecord::Grant(g.clone()),
@@ -254,7 +262,27 @@ impl WalRecord {
     }
 
     /// Decodes one record payload, requiring every byte to be consumed.
+    /// Each label is a fresh allocation; replay decodes through a
+    /// decoder that shares labels across frames.
     pub fn decode(payload: &[u8]) -> Result<Self> {
+        Decoder::default().decode(payload)
+    }
+}
+
+/// The labels of the last frame a [`Decoder`] decoded.
+#[derive(Debug, Default)]
+pub(crate) struct Decoder {
+    mechanism: Option<Arc<str>>,
+    policy: Option<Arc<str>>,
+    query: Option<Arc<str>>,
+}
+
+impl Decoder {
+    /// Decodes one record payload, requiring every byte to be consumed. A
+    /// grant or refusal label whose bytes equal the previous frame's label
+    /// in the same field is that label again (a reference-count increment);
+    /// any other label is validated and allocated once.
+    pub(crate) fn decode(&mut self, payload: &[u8]) -> Result<WalRecord> {
         let mut r = Reader::new(payload);
         let record = match r.u8()? {
             TAG_GRANT => WalRecord::Grant(GrantRecord {
@@ -264,15 +292,15 @@ impl WalRecord {
                 trials: r.u64()?,
                 bins: r.u64()?,
                 guarantee: GuaranteeTag::from_byte(r.u8()?)?,
-                mechanism: r.string()?,
-                policy: r.string()?,
-                query: r.string()?,
+                mechanism: shared_label(&mut self.mechanism, r.label()?)?,
+                policy: shared_label(&mut self.policy, r.label()?)?,
+                query: shared_label(&mut self.query, r.label()?)?,
                 policy_version: r.u64()?,
             }),
             TAG_REFUSAL => WalRecord::Refusal(RefusalRecord {
                 units: r.u64()?,
                 epsilon: r.f64()?,
-                mechanism: r.string()?,
+                mechanism: shared_label(&mut self.mechanism, r.label()?)?,
             }),
             TAG_MARKER => {
                 WalRecord::SnapshotMarker { generation: r.u64()?, counters: read_counters(&mut r)? }
@@ -288,6 +316,24 @@ impl WalRecord {
         r.finish()?;
         Ok(record)
     }
+}
+
+/// The label `bytes` decode to: the label in `last` when its bytes are the
+/// same, otherwise a new one, which becomes `last`.
+fn shared_label(last: &mut Option<Arc<str>>, bytes: &[u8]) -> Result<Arc<str>> {
+    if let Some(label) = last.as_ref().filter(|label| label.as_bytes() == bytes) {
+        return Ok(Arc::clone(label));
+    }
+    let label: Arc<str> = Arc::from(utf8(bytes)?);
+    *last = Some(Arc::clone(&label));
+    Ok(label)
+}
+
+/// `bytes` as a label, or the error every codec reports for one that is
+/// not UTF-8.
+fn utf8(bytes: &[u8]) -> Result<&str> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| OsdpError::Persistence("record label is not valid UTF-8".into()))
 }
 
 /// Appends a little-endian `u64`.
@@ -376,11 +422,15 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub(crate) fn string(&mut self) -> Result<String> {
+    /// The bytes of a `u16`-length-prefixed label, borrowed from the
+    /// payload (not yet checked for UTF-8).
+    pub(crate) fn label(&mut self) -> Result<&'a [u8]> {
         let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| OsdpError::Persistence("record label is not valid UTF-8".into()))
+        self.take(len)
+    }
+
+    pub(crate) fn string(&mut self) -> Result<String> {
+        Ok(utf8(self.label()?)?.to_string())
     }
 
     /// Fails if any payload bytes were left unread (a length mismatch that
@@ -475,6 +525,49 @@ mod tests {
         bad_guarantee[41] = 9;
         assert!(WalRecord::decode(&bad_guarantee).is_err());
         assert!(GuaranteeTag::from_byte(3).is_err());
+    }
+
+    #[test]
+    fn a_decoder_shares_labels_between_frames_that_repeat_them() {
+        let encode = |record: &WalRecord| {
+            let mut bytes = Vec::new();
+            record.encode_into(&mut bytes);
+            bytes
+        };
+        let labels = |record: &WalRecord| match record {
+            WalRecord::Grant(g) => [g.mechanism.clone(), g.policy.clone(), g.query.clone()],
+            other => panic!("not a grant: {other:?}"),
+        };
+        let first = grant();
+        let mut second = first.clone();
+        if let WalRecord::Grant(g) = &mut second {
+            g.index = 8;
+            g.query = "other".into();
+        }
+        let mut decoder = Decoder::default();
+        let a = decoder.decode(&encode(&first)).unwrap();
+        let b = decoder.decode(&encode(&second)).unwrap();
+        let c = decoder.decode(&encode(&second)).unwrap();
+        assert_eq!((&a, &b), (&first, &second));
+        let [am, ap, aq] = labels(&a);
+        let [bm, bp, bq] = labels(&b);
+        let [cm, cp, cq] = labels(&c);
+        // Repeated labels are the previous frame's; a changed one is new.
+        assert!(Arc::ptr_eq(&am, &bm) && Arc::ptr_eq(&ap, &bp) && !Arc::ptr_eq(&aq, &bq));
+        assert!(Arc::ptr_eq(&bm, &cm) && Arc::ptr_eq(&bp, &cp) && Arc::ptr_eq(&bq, &cq));
+        // A refusal's mechanism shares the grant field's label too.
+        let refusal =
+            WalRecord::Refusal(RefusalRecord { units: 1, epsilon: 1e-12, mechanism: am.clone() });
+        match decoder.decode(&encode(&refusal)).unwrap() {
+            WalRecord::Refusal(r) => assert!(Arc::ptr_eq(&r.mechanism, &am)),
+            other => panic!("not a refusal: {other:?}"),
+        }
+        // Invalid UTF-8 is refused whether or not a label is remembered.
+        let mut bad = encode(&first);
+        let at = bad.len() - 8 - "bound".len();
+        bad[at] = 0xFF;
+        assert!(decoder.decode(&bad).is_err());
+        assert!(WalRecord::decode(&bad).is_err());
     }
 
     #[test]

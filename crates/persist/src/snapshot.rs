@@ -13,7 +13,7 @@ use crate::record::{EpochRecord, GrantRecord, SnapshotCounters};
 use crate::wal::append_record;
 use crate::WalRecord;
 use osdp_core::error::{OsdpError, Result};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Magic header of `snapshot.bin`.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"OSDPSNP1";
@@ -103,6 +103,24 @@ impl SnapshotState {
     }
 }
 
+/// One aggregate row of the mirror: a `(mechanism, policy, guarantee)`
+/// triple and its running totals.
+#[derive(Debug, Clone)]
+pub(crate) struct MirrorRow {
+    mechanism: Arc<str>,
+    policy: Arc<str>,
+    guarantee: GuaranteeTag,
+    units: u64,
+    releases: u64,
+}
+
+impl MirrorRow {
+    /// The row's sort key: the order of snapshot rows.
+    fn key(&self) -> (&str, &str, GuaranteeTag) {
+        (&self.mechanism, &self.policy, self.guarantee)
+    }
+}
+
 /// The in-memory mirror of the logged state: what a snapshot taken *now*
 /// would contain. The [`crate::TenantLedger`] updates it under the same
 /// lock as each WAL append, so snapshots are consistent-by-construction
@@ -112,7 +130,14 @@ impl SnapshotState {
 pub(crate) struct MirrorState {
     pub(crate) generation: u64,
     pub(crate) counters: SnapshotCounters,
-    pub(crate) rows: BTreeMap<(String, String, GuaranteeTag), (u64, u64)>,
+    /// Aggregate rows sorted by `(mechanism, policy, guarantee)`, the order
+    /// a snapshot stores them in. A tenant has a handful of rows, so a
+    /// sorted vector searched with borrowed labels beats a map that needs
+    /// owned keys to look up.
+    rows: Vec<MirrorRow>,
+    /// The row the last grant landed in: a grant with the same triple
+    /// finds it without a search.
+    last: usize,
     /// Every epoch transition logged so far, in version order. Unlike
     /// grants, transitions are never collapsed into aggregate rows — the
     /// stale-policy verifier needs the full version history — so rotation
@@ -123,26 +148,46 @@ pub(crate) struct MirrorState {
 impl MirrorState {
     /// Seeds the mirror from a decoded snapshot base.
     pub(crate) fn from_snapshot(base: &SnapshotState) -> Self {
-        let mut rows = BTreeMap::new();
+        let mut mirror =
+            Self { generation: base.generation, counters: base.counters, ..Self::default() };
         for row in &base.rows {
-            rows.insert(
-                (row.mechanism.clone(), row.policy.clone(), row.guarantee),
-                (row.units, row.releases),
-            );
+            let at = mirror.row_at(&row.mechanism, &row.policy, row.guarantee);
+            let stored = &mut mirror.rows[at];
+            (stored.units, stored.releases) = (row.units, row.releases);
         }
-        Self { generation: base.generation, counters: base.counters, rows, transitions: Vec::new() }
+        mirror
     }
 
-    /// Applies one grant.
+    /// Applies one grant. A grant whose triple already has a row — every
+    /// grant after a tenant's first few — allocates nothing.
     pub(crate) fn apply_grant(&mut self, g: &GrantRecord) {
         self.counters.spent_units = self.counters.spent_units.saturating_add(g.units);
         self.counters.audit_units = self.counters.audit_units.saturating_add(g.units);
         self.counters.audit_seq = self.counters.audit_seq.max(g.index + 1);
         self.counters.grants += 1;
-        let row =
-            self.rows.entry((g.mechanism.clone(), g.policy.clone(), g.guarantee)).or_insert((0, 0));
-        row.0 = row.0.saturating_add(g.units);
-        row.1 += 1;
+        let at = self.row_at(&g.mechanism, &g.policy, g.guarantee);
+        let row = &mut self.rows[at];
+        row.units = row.units.saturating_add(g.units);
+        row.releases += 1;
+    }
+
+    /// The index of the row of `(mechanism, policy, guarantee)`, inserted
+    /// empty (in sort order) on first sight.
+    fn row_at(&mut self, mechanism: &str, policy: &str, guarantee: GuaranteeTag) -> usize {
+        let key = (mechanism, policy, guarantee);
+        if self.rows.get(self.last).is_some_and(|row| row.key() == key) {
+            return self.last;
+        }
+        self.last = match self.rows.binary_search_by(|row| row.key().cmp(&key)) {
+            Ok(at) => at,
+            Err(at) => {
+                let (mechanism, policy) = (Arc::from(mechanism), Arc::from(policy));
+                self.rows
+                    .insert(at, MirrorRow { mechanism, policy, guarantee, units: 0, releases: 0 });
+                at
+            }
+        };
+        self.last
     }
 
     /// Applies one refusal.
@@ -170,12 +215,12 @@ impl MirrorState {
             rows: self
                 .rows
                 .iter()
-                .map(|((mechanism, policy, guarantee), &(units, releases))| AggregateRow {
-                    mechanism: mechanism.clone(),
-                    policy: policy.clone(),
-                    guarantee: *guarantee,
-                    units,
-                    releases,
+                .map(|row| AggregateRow {
+                    mechanism: row.mechanism.to_string(),
+                    policy: row.policy.to_string(),
+                    guarantee: row.guarantee,
+                    units: row.units,
+                    releases: row.releases,
                 })
                 .collect(),
         }

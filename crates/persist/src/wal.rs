@@ -1,18 +1,19 @@
 //! Write-ahead ledger framing and replay.
 //!
 //! Every record is one frame: `[len: u32 LE][crc: u32 LE][payload]`, where
-//! `crc` is the CRC-32 of the payload. Replay walks frames in order and
-//! stops at the first frame that is torn (fewer bytes than the header
-//! promises), oversized, checksum-failing, or undecodable — everything
-//! before that point is the durable prefix; everything after is discarded
-//! by truncation, exactly as an interrupted `write(2)` demands.
+//! `crc` is the CRC-32 of the payload. Replay walks frames in order, once,
+//! checking each CRC once, and stops at the first frame that is torn
+//! (fewer bytes than the header promises), oversized, checksum-failing, or
+//! undecodable — everything before that point is the durable prefix;
+//! everything after is discarded by truncating the file at the prefix's
+//! end, exactly as an interrupted `write(2)` demands.
 
 use crate::crc::crc32;
-use crate::record::{RecordRef, WalRecord};
-use crate::vfs::{persist_error, VfsFile};
+use crate::record::{Decoder, RecordRef, WalRecord};
+use crate::vfs::{persist_error, Vfs, VfsFile};
 use osdp_core::error::{FaultClass, PersistError, PersistOp};
 use std::io::{IoSlice, SeekFrom};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Frame header size: payload length + checksum.
@@ -138,7 +139,8 @@ pub(crate) fn encode_frame_into(out: &mut Vec<u8>, scratch: &mut Vec<u8>, record
 /// A failed **fsync** (or a failed boundary restore) poisons the handle:
 /// the page-cache state is unknown, so every later operation is refused
 /// with the original error until the ledger is reopened — never re-fsync a
-/// handle whose fsync already failed.
+/// handle whose fsync already failed. A failed repair of a torn tail or
+/// replacement of the whole file poisons it too.
 #[derive(Debug)]
 pub struct WalWriter {
     file: Box<dyn VfsFile>,
@@ -151,8 +153,8 @@ pub struct WalWriter {
     /// Bytes known fully written: the truncate-and-retry boundary.
     written_len: u64,
     retry: RetryPolicy,
-    /// Set by a failed fsync or a failed boundary restore; every later
-    /// operation returns a clone of it.
+    /// Set by a failed fsync, boundary restore, repair or replacement;
+    /// every later operation returns a clone of it.
     poisoned: Option<PersistError>,
 }
 
@@ -200,7 +202,7 @@ impl WalWriter {
     }
 
     /// Fails with the poison error if the handle is poisoned.
-    fn ensure_usable(&self) -> Result<(), PersistError> {
+    pub(crate) fn ensure_usable(&self) -> Result<(), PersistError> {
         match &self.poisoned {
             Some(err) => Err(err.clone()),
             None => Ok(()),
@@ -219,14 +221,12 @@ impl WalWriter {
             .and_then(|()| self.file.seek(SeekFrom::End(0)).map(|_| ()));
         if let Err(e) = outcome {
             let mut err = persist_error(PersistOp::Write, &self.path, &e);
-            err.class = FaultClass::Permanent;
             err.detail = format!(
                 "restoring the write boundary after a torn write failed (handle poisoned; \
                  reopen the ledger): {}",
                 err.detail
             );
-            self.poisoned = Some(err.clone());
-            return Err(err);
+            return Err(self.poison(err));
         }
         Ok(())
     }
@@ -240,14 +240,12 @@ impl WalWriter {
             Ok(()) => Ok(()),
             Err(e) => {
                 let mut err = persist_error(PersistOp::Fsync, &self.path, &e);
-                err.class = FaultClass::Permanent;
                 err.detail = format!(
                     "{} (fsync failed: page-cache state unknown, handle poisoned; reopen the \
                      ledger before any further attempt)",
                     err.detail
                 );
-                self.poisoned = Some(err.clone());
-                Err(err)
+                Err(self.poison(err))
             }
         }
     }
@@ -318,16 +316,33 @@ impl WalWriter {
         self.sync()
     }
 
-    /// Replaces the file contents with `image` (the rotation / torn-tail
-    /// rewrite path) and fsyncs, resetting the boundary to the image
-    /// length.
-    pub(crate) fn rewrite(&mut self, image: &[u8]) -> Result<(), PersistError> {
+    /// Cuts the file back to `len` bytes and fsyncs: how recovery repairs
+    /// a torn or corrupt tail, with `len` the end of the valid frame prefix
+    /// replay found. The prefix itself is never rewritten, so a failure
+    /// here cannot cost a durable frame. Any failure poisons the handle.
+    pub(crate) fn truncate_to(&mut self, len: u64) -> Result<(), PersistError> {
+        self.ensure_usable()?;
+        if let Err(e) =
+            self.file.set_len(len).and_then(|()| self.file.seek(SeekFrom::End(0)).map(|_| ()))
+        {
+            return Err(self.poison(persist_error(PersistOp::Write, &self.path, &e)));
+        }
+        self.written_len = len;
+        self.sync()
+    }
+
+    /// Replaces the file contents with `image` in place and fsyncs,
+    /// resetting the boundary to the image length. Only for a WAL shorter
+    /// than its header: it holds no frame, so a rewrite torn half-way loses
+    /// nothing. Any failure poisons the handle.
+    pub(crate) fn rewrite_in_place(&mut self, image: &[u8]) -> Result<(), PersistError> {
         self.ensure_usable()?;
         self.written_len = 0;
-        self.file
-            .set_len(0)
-            .and_then(|()| self.file.seek(SeekFrom::Start(0)).map(|_| ()))
-            .map_err(|e| persist_error(PersistOp::Write, &self.path, &e))?;
+        if let Err(e) =
+            self.file.set_len(0).and_then(|()| self.file.seek(SeekFrom::Start(0)).map(|_| ()))
+        {
+            return Err(self.poison(persist_error(PersistOp::Write, &self.path, &e)));
+        }
         let mut attempt = 1u32;
         loop {
             match self.file.write_all(image) {
@@ -339,7 +354,7 @@ impl WalWriter {
                     let err = persist_error(PersistOp::Write, &self.path, &e);
                     self.restore_boundary()?;
                     if err.class != FaultClass::Transient || attempt >= self.retry.max_attempts {
-                        return Err(err);
+                        return Err(self.poison(err));
                     }
                     std::thread::sleep(self.retry.backoff(attempt));
                     attempt += 1;
@@ -348,6 +363,75 @@ impl WalWriter {
         }
         self.sync()
     }
+
+    /// Replaces the WAL with `image` (a fresh header, marker and epoch
+    /// transitions) without ever exposing a partial file: the image is
+    /// written to `wal.log.tmp` and fsynced, renamed over the WAL, the
+    /// directory is fsynced, and the writer continues on the new file. A
+    /// failure before the rename leaves the old WAL whole; the rename
+    /// itself is atomic.
+    ///
+    /// Any failure poisons the handle. The caller has already moved the
+    /// snapshot past the old WAL's generation, and recovery ignores the
+    /// grants of a WAL whose generation is behind the snapshot's: an
+    /// append acknowledged into the old file would be lost. The epoch
+    /// transitions, which snapshots do not carry, survive in whichever
+    /// file is in place.
+    pub(crate) fn replace(&mut self, vfs: &dyn Vfs, image: &[u8]) -> Result<(), PersistError> {
+        self.ensure_usable()?;
+        match self.replace_file(vfs, image) {
+            Ok(file) => {
+                self.file = file;
+                self.written_len = image.len() as u64;
+                Ok(())
+            }
+            Err(err) => Err(self.poison(err)),
+        }
+    }
+
+    /// The steps of [`WalWriter::replace`]; returns the new file, positioned
+    /// at its end.
+    fn replace_file(&self, vfs: &dyn Vfs, image: &[u8]) -> Result<Box<dyn VfsFile>, PersistError> {
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut attempt = 1u32;
+        loop {
+            match write_synced(vfs, &tmp, image) {
+                Ok(()) => break,
+                Err(err)
+                    if err.class == FaultClass::Transient && attempt < self.retry.max_attempts =>
+                {
+                    std::thread::sleep(self.retry.backoff(attempt));
+                    attempt += 1;
+                }
+                Err(err) => return Err(err),
+            }
+        }
+        vfs.rename(&tmp, &self.path).map_err(|e| persist_error(PersistOp::Rename, &tmp, &e))?;
+        let dir = self.path.parent().unwrap_or(Path::new("."));
+        vfs.sync_dir(dir).map_err(|e| persist_error(PersistOp::Fsync, dir, &e))?;
+        let mut file =
+            vfs.open_rw(&self.path).map_err(|e| persist_error(PersistOp::Open, &self.path, &e))?;
+        file.seek(SeekFrom::End(0)).map_err(|e| persist_error(PersistOp::Open, &self.path, &e))?;
+        Ok(file)
+    }
+
+    /// Poisons the handle with `err`, made permanent (nothing on this
+    /// handle can succeed again), and returns it.
+    fn poison(&mut self, mut err: PersistError) -> PersistError {
+        err.class = FaultClass::Permanent;
+        self.poisoned = Some(err.clone());
+        err
+    }
+}
+
+/// Creates (truncating) `path`, writes `bytes` and fsyncs it.
+fn write_synced(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let mut file =
+        vfs.create_truncate(path).map_err(|e| persist_error(PersistOp::Open, path, &e))?;
+    file.write_all(bytes).map_err(|e| persist_error(PersistOp::Write, path, &e))?;
+    file.sync_data().map_err(|e| persist_error(PersistOp::Fsync, path, &e))
 }
 
 /// One vectored-write pass over the whole batch. Unlike
@@ -519,10 +603,13 @@ impl WalReader {
     }
 }
 
-/// The result of replaying a frame stream.
+/// The result of [`replay`]: the records of a frame stream's longest valid
+/// prefix, collected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
-    /// Every record of the longest valid frame prefix, in log order.
+    /// Every record of the longest valid frame prefix, in log order. Grant
+    /// and refusal labels that repeat the previous frame's are shared
+    /// `Arc<str>`s, not copies.
     pub records: Vec<WalRecord>,
     /// Byte length of that valid prefix.
     pub valid_len: usize,
@@ -533,11 +620,33 @@ pub struct ReplayOutcome {
 }
 
 /// Decodes the longest valid frame prefix of `bytes` (the WAL body, after
-/// any file header). Never fails: a torn or corrupt tail is *data*, not an
-/// error — it marks where durability ended.
+/// any file header) into a vector. Never fails: a torn or corrupt tail is
+/// *data*, not an error — it marks where durability ended. Recovery does
+/// not collect: it streams the same records into its own vectors.
 pub fn replay(bytes: &[u8]) -> ReplayOutcome {
     let mut records = Vec::new();
-    let mut at = 0usize;
+    let (valid_len, _) = match replay_each(bytes, |record| {
+        records.push(record);
+        Ok::<(), std::convert::Infallible>(())
+    }) {
+        Ok(end) => end,
+        Err(never) => match never {},
+    };
+    ReplayOutcome { records, valid_len, truncated: valid_len != bytes.len() }
+}
+
+/// The one replay pass: walks the frames of `bytes` in order, checks each
+/// frame's CRC once, decodes it (sharing repeated labels between frames)
+/// and hands the record to `visit`. Stops at the first frame that is torn,
+/// oversized, checksum-failing or undecodable, and returns the byte length
+/// of the valid prefix before it and the number of frames in that prefix.
+/// An error from `visit` stops the walk and is returned as is.
+pub(crate) fn replay_each<E>(
+    bytes: &[u8],
+    mut visit: impl FnMut(WalRecord) -> Result<(), E>,
+) -> Result<(usize, u64), E> {
+    let mut decoder = Decoder::default();
+    let (mut at, mut frames) = (0usize, 0u64);
     while bytes.len() - at >= FRAME_HEADER {
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("len checked")) as usize;
         let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("len checked"));
@@ -548,13 +657,14 @@ pub fn replay(bytes: &[u8]) -> ReplayOutcome {
         if crc32(payload) != crc {
             break;
         }
-        let Ok(record) = WalRecord::decode(payload) else {
+        let Ok(record) = decoder.decode(payload) else {
             break;
         };
-        records.push(record);
+        visit(record)?;
+        frames += 1;
         at += FRAME_HEADER + len;
     }
-    ReplayOutcome { records, valid_len: at, truncated: at != bytes.len() }
+    Ok((at, frames))
 }
 
 #[cfg(test)]

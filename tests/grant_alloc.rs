@@ -1,4 +1,5 @@
-//! Allocation budget of the grant path.
+//! Allocation budget of the grant path, and of recovering a durable
+//! session's WAL tail.
 //!
 //! A counting global allocator tallies heap allocations **per thread**, so
 //! the libtest harness and concurrently running tests never pollute the
@@ -8,6 +9,11 @@
 //! histogram session may allocate only what its output needs: the
 //! estimate buffer and the two `String`s of the returned `Release`. The
 //! budget debit, audit stamp and RNG stream set-up allocate nothing.
+//!
+//! Recovering a tail decodes, mirrors and audits every frame, but frames
+//! that repeat the previous frame's labels share them, so the allocations
+//! of a recovery grow only with the logarithm of the tail (vector growth),
+//! not with its length.
 //!
 //! Run it on the optimised build, where the claim is made:
 //! `cargo test --release --test grant_alloc`.
@@ -90,4 +96,61 @@ fn a_warm_release_allocates_only_its_output() {
         "a warm release should allocate only its estimate and its two label strings"
     );
     assert_eq!(session.audit_len(), 101);
+}
+
+/// Writes a clean shard at `dir` whose WAL holds `frames` grants that all
+/// share one label tuple.
+fn single_key_tail(dir: &std::path::Path, frames: u64) {
+    use osdp::persist::{GrantRecord, GuaranteeTag, TenantLedger};
+    let (ledger, _) = TenantLedger::open(dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
+    for index in 0..frames {
+        ledger
+            .append_grant(&GrantRecord {
+                index,
+                units: 10_000_000_000,
+                epsilon: 0.01,
+                trials: 1,
+                bins: 32,
+                guarantee: GuaranteeTag::Osdp,
+                mechanism: "OsdpLaplaceL1".into(),
+                policy: "P-tail".into(),
+                query: "bound".into(),
+                policy_version: 0,
+            })
+            .unwrap();
+    }
+}
+
+/// Allocations of recovering the shard at `dir` into a durable session.
+fn recovery_allocations(dir: &std::path::Path) -> u64 {
+    let full = Histogram::from_counts(vec![10.0; 32]);
+    let non_sensitive = Histogram::from_counts(vec![1.0; 32]);
+    let builder = histogram_session(full, non_sensitive).policy_label("P-tail").seed(3);
+    let before = allocations();
+    let persistence = SessionPersistence::open(dir, SyncPolicy::EveryN(u32::MAX)).unwrap();
+    let session = builder.durable(persistence).build().unwrap();
+    let spent = allocations() - before;
+    assert_eq!(
+        session.audit_len() as u64,
+        session.accountant().total_spent_units() / 10_000_000_000
+    );
+    spent
+}
+
+#[test]
+fn recovering_a_single_key_tail_allocates_per_growth_not_per_frame() {
+    let root = std::env::temp_dir().join(format!("osdp-recovery-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (name, frames) in [("warm", 16), ("small", 1_024), ("large", 4_096)] {
+        single_key_tail(&root.join(name), frames);
+    }
+    recovery_allocations(&root.join("warm"));
+    let small = recovery_allocations(&root.join("small"));
+    let large = recovery_allocations(&root.join("large"));
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(
+        large.abs_diff(small) < 64,
+        "recovering 4,096 frames made {large} allocations and 1,024 frames {small}: \
+         the difference must not grow with the tail"
+    );
 }

@@ -23,8 +23,8 @@
 //!   acknowledged grant.
 
 use osdp::persist::{
-    force_unlock, scrub_shard, FaultKind, FaultPlan, FaultVfs, GrantRecord, GuaranteeTag,
-    ScrubFinding, StdVfs, TenantLedger, Vfs,
+    force_unlock, scrub_shard, EpochRecord, FaultKind, FaultPlan, FaultVfs, GrantRecord,
+    GuaranteeTag, RecoveredLedger, ScrubFinding, StdVfs, TenantLedger, Vfs,
 };
 use osdp::prelude::*;
 use proptest::prelude::*;
@@ -477,6 +477,142 @@ fn dying_committer_fails_every_blocked_appender() {
     let recovered = TenantLedger::peek(&root).unwrap();
     assert!(recovered.spent_units() <= APPENDERS as u64 * 4 * 100);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// What a recovered shard says about its durable history: spent units,
+/// grant count, the replayed grant indices, refusals and transition
+/// versions. Everything but the torn bytes a repair removes.
+fn durable_view(r: &RecoveredLedger) -> (u64, u64, Vec<u64>, u64, Vec<u64>) {
+    (
+        r.spent_units(),
+        r.grant_count(),
+        r.grants.iter().map(|g| g.index).collect(),
+        r.refusal_count(),
+        r.transitions.iter().map(|t| t.version).collect(),
+    )
+}
+
+/// A grant of 250 units with release index `index`.
+fn grant_250(index: u64) -> GrantRecord {
+    GrantRecord { units: 250, ..grant(index) }
+}
+
+/// The epoch transition to version 1 at release index `boundary_seq`.
+fn transition(boundary_seq: u64) -> EpochRecord {
+    EpochRecord { version: 1, boundary_seq, relaxes: false, label: "P-v1".into() }
+}
+
+/// Copies the files of shard `from` into a fresh directory `to`.
+fn copy_shard(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Opening a shard with a torn tail repairs the tail. A fault during that
+/// repair may refuse the open, but must never cost durable history: the
+/// shard read afterwards holds exactly what it held before.
+#[test]
+fn a_fault_while_repairing_a_torn_tail_loses_nothing() {
+    let root = temp_root("torn-repair");
+    let template = root.join("template");
+    {
+        let (ledger, _) = TenantLedger::open(&template, SyncPolicy::EveryN(4)).unwrap();
+        ledger.append_epoch_transition(&transition(2)).unwrap();
+        for i in 0..6 {
+            ledger.append_grant(&grant_250(i)).unwrap();
+        }
+        // Frames 0–3 (the transition and three grants) are flushed; the
+        // crash lands half of the buffered three: one whole, one torn.
+        ledger.crash(0.5).unwrap();
+    }
+    assert!(force_unlock(&template).unwrap());
+    let before = TenantLedger::peek(&template).unwrap();
+    assert!(before.truncated_bytes > 0, "the template has a torn tail");
+    assert_eq!(before.spent_units(), 1_000);
+
+    let faults = [
+        (PersistOp::Write, 0),
+        (PersistOp::Write, 1),
+        (PersistOp::Write, 2),
+        (PersistOp::Fsync, 0),
+        (PersistOp::Fsync, 1),
+    ];
+    for (case, (op, nth)) in faults.into_iter().enumerate() {
+        let dir = root.join(format!("case-{case}"));
+        copy_shard(&template, &dir);
+        let plan =
+            FaultPlan::new().fail_nth(op, "wal.log", nth, FaultKind::Fail(FaultClass::Permanent));
+        let opened = TenantLedger::open_with_vfs(
+            dir.clone(),
+            SyncPolicy::Always,
+            fast_retry(),
+            FaultVfs::new(plan),
+        );
+        if let Ok((_, recovered)) = &opened {
+            assert_eq!(durable_view(recovered), durable_view(&before), "{op:?} #{nth}");
+        }
+        drop(opened);
+        let after = TenantLedger::peek(&dir).unwrap();
+        assert_eq!(durable_view(&after), durable_view(&before), "{op:?} #{nth}: history lost");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A snapshot rotation whose WAL rewrite fails poisons the ledger: the
+/// next append is refused, so no grant is acknowledged into a WAL that
+/// recovery would ignore or cannot read, and the epoch history survives.
+#[test]
+fn a_failed_wal_rewrite_poisons_the_ledger() {
+    // Write ops on wal.log: #0–#1 open a fresh shard, #2 is the
+    // transition, #3–#5 the grants; the rotation's rewrite comes next.
+    let faults = [
+        (PersistOp::Write, 6),
+        (PersistOp::Write, 7),
+        (PersistOp::Fsync, 5),
+        (PersistOp::Fsync, 6),
+        (PersistOp::Rename, 0),
+        (PersistOp::Open, 1),
+    ];
+    for (case, (op, nth)) in faults.into_iter().enumerate() {
+        let root = temp_root(&format!("rewrite-poison-{case}"));
+        let plan =
+            FaultPlan::new().fail_nth(op, "wal.log", nth, FaultKind::Fail(FaultClass::Permanent));
+        let (ledger, _) = TenantLedger::open_with_vfs(
+            root.clone(),
+            SyncPolicy::Always,
+            fast_retry(),
+            FaultVfs::new(plan),
+        )
+        .unwrap();
+        ledger.append_epoch_transition(&transition(0)).unwrap();
+        let mut acked = 0;
+        for i in 0..3 {
+            ledger.append_grant(&grant_250(i)).unwrap();
+            acked += 250;
+        }
+        let rotated = ledger.rotate_snapshot();
+        let appended = ledger.append_grant(&grant_250(3));
+        if appended.is_ok() {
+            acked += 250;
+        }
+        if rotated.is_err() {
+            assert!(appended.is_err(), "{op:?} #{nth}: a failed rewrite must poison the ledger");
+        }
+        drop(ledger);
+
+        let _ = force_unlock(&root);
+        let recovered = TenantLedger::peek(&root)
+            .unwrap_or_else(|e| panic!("{op:?} #{nth}: the shard must stay readable: {e}"));
+        assert!(recovered.spent_units() >= acked, "{op:?} #{nth}: an acknowledged grant was lost");
+        assert!(recovered.spent_units() <= 1_000, "{op:?} #{nth}");
+        assert_eq!(recovered.transitions.len(), 1, "{op:?} #{nth}: the epoch history was lost");
+        let (_ledger, reopened) = TenantLedger::open(&root, SyncPolicy::Always).unwrap();
+        assert_eq!(durable_view(&reopened), durable_view(&recovered), "{op:?} #{nth}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 /// A histogram-backed session builder (same substrate as the recovery
