@@ -61,6 +61,12 @@ ENTRIES = [
         "dir": "noise-ln",
         "claimed": {"recover-heal": ["rel_per_s"]},
     },
+    {
+        "entry": 18,
+        "change": "WAL tails replayed in one pass with no per-frame allocation, torn tails truncated",
+        "dir": "one-pass-recovery",
+        "claimed": {"recover-heal": ["setup_s"]},
+    },
 ]
 
 

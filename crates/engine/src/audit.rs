@@ -442,8 +442,9 @@ impl AuditLog {
     /// Appends the row of the release stamped `(index, version)` to the
     /// calling thread's shard, and debits `units` from the ε accumulator.
     /// Every live append — grant path, [`AuditLog::append_versioned`] —
-    /// goes through here; recovery goes through [`AuditLog::restore_rows`]. Only the thread's own
-    /// shard mutex is taken; a warm append clones no `Arc`.
+    /// goes through here; recovery goes through [`AuditLog::restore_rows`].
+    /// Only the thread's own shard mutex is taken; a warm append clones no
+    /// `Arc`.
     ///
     /// Live appends debit [`AuditKeyRef::units`] — the **same**
     /// ceiling-rounded fixed-point conversion the `BudgetAccountant` grant

@@ -402,10 +402,10 @@
 //!   rewritten, so a fault during the repair cannot lose a durable frame; a
 //!   snapshot rotation replaces the WAL by temp file and rename, and a
 //!   failed replacement poisons the writer like a failed fsync. A corrupt
-//!   snapshot is
-//!   quarantined (`snapshot.corrupt-<gen>`) and recovery falls back to the
-//!   parked prior generation or the WAL marker; a `LOCK` whose recorded
-//!   writer is provably dead (dead pid, or a previous boot) is auto-cleared.
+//!   snapshot is quarantined (`snapshot.corrupt-<gen>`) and recovery falls
+//!   back to the parked prior generation or the WAL marker; a `LOCK` whose
+//!   recorded writer is provably dead (dead pid, or a previous boot) is
+//!   auto-cleared.
 //!   Everything recovery repaired or fell back to is surfaced in a
 //!   [`RecoveryReport`] on [`RecoveredSession`].
 //! * **Tenant health and healing.** A durable [`SessionPool`] runs a

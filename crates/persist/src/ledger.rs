@@ -958,23 +958,19 @@ fn read_state(vfs: &dyn Vfs, dir: &Path, repair: bool) -> Result<(RecoveredLedge
     };
     let snapshot = load_snapshot(vfs, dir, repair, wal_gen_hint, &mut report)?;
     let base_or_default = snapshot.unwrap_or_default();
-    let recovered = |base, transitions, truncated_bytes, degraded, report| RecoveredLedger {
-        base,
-        grants: Vec::new(),
-        refusals: Vec::new(),
-        transitions,
-        truncated_bytes,
-        degraded,
-        report,
-    };
     if wal.len() < WAL_HEADER {
         // Empty or mid-rewrite header: no tail survived; the snapshot (if
         // any) is the whole durable state.
-        let truncated = wal.len() as u64;
-        return Ok((
-            recovered(base_or_default, Vec::new(), truncated, false, report),
-            WalRepair::Init,
-        ));
+        let recovered = RecoveredLedger {
+            base: base_or_default,
+            grants: Vec::new(),
+            refusals: Vec::new(),
+            transitions: Vec::new(),
+            truncated_bytes: wal.len() as u64,
+            degraded: false,
+            report,
+        };
+        return Ok((recovered, WalRepair::Init));
     }
     if &wal[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(OsdpError::Persistence("wal.log has a bad magic header".into()));
@@ -989,16 +985,22 @@ fn read_state(vfs: &dyn Vfs, dir: &Path, repair: bool) -> Result<(RecoveredLedge
         // are harvested from the stale file — they carry their own ordering
         // and version identity, so re-reading them can never double-count.
         let mut transitions = Vec::new();
-        let harvest = replay_each(body, |record| {
+        let Ok(_) = replay_each(body, |record| {
             if let WalRecord::EpochTransition(t) = record {
                 transitions.push(t);
             }
             Ok::<(), std::convert::Infallible>(())
         });
-        let Ok(_) = harvest;
-        let transitions = sorted_transitions(transitions);
-        let stale = recovered(base_or_default, transitions, body.len() as u64, false, report);
-        return Ok((stale, WalRepair::Replace));
+        let recovered = RecoveredLedger {
+            base: base_or_default,
+            grants: Vec::new(),
+            refusals: Vec::new(),
+            transitions: sorted_transitions(transitions),
+            truncated_bytes: body.len() as u64,
+            degraded: false,
+            report,
+        };
+        return Ok((recovered, WalRepair::Replace));
     }
     let no_marker = || {
         OsdpError::Persistence(format!(

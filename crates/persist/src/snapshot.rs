@@ -106,7 +106,7 @@ impl SnapshotState {
 /// One aggregate row of the mirror: a `(mechanism, policy, guarantee)`
 /// triple and its running totals.
 #[derive(Debug, Clone)]
-pub(crate) struct MirrorRow {
+struct MirrorRow {
     mechanism: Arc<str>,
     policy: Arc<str>,
     guarantee: GuaranteeTag,
@@ -135,9 +135,6 @@ pub(crate) struct MirrorState {
     /// sorted vector searched with borrowed labels beats a map that needs
     /// owned keys to look up.
     rows: Vec<MirrorRow>,
-    /// The row the last grant landed in: a grant with the same triple
-    /// finds it without a search.
-    last: usize,
     /// Every epoch transition logged so far, in version order. Unlike
     /// grants, transitions are never collapsed into aggregate rows — the
     /// stale-policy verifier needs the full version history — so rotation
@@ -175,19 +172,15 @@ impl MirrorState {
     /// empty (in sort order) on first sight.
     fn row_at(&mut self, mechanism: &str, policy: &str, guarantee: GuaranteeTag) -> usize {
         let key = (mechanism, policy, guarantee);
-        if self.rows.get(self.last).is_some_and(|row| row.key() == key) {
-            return self.last;
-        }
-        self.last = match self.rows.binary_search_by(|row| row.key().cmp(&key)) {
+        match self.rows.binary_search_by(|row| row.key().cmp(&key)) {
             Ok(at) => at,
             Err(at) => {
                 let (mechanism, policy) = (Arc::from(mechanism), Arc::from(policy));
-                self.rows
-                    .insert(at, MirrorRow { mechanism, policy, guarantee, units: 0, releases: 0 });
+                let row = MirrorRow { mechanism, policy, guarantee, units: 0, releases: 0 };
+                self.rows.insert(at, row);
                 at
             }
-        };
-        self.last
+        }
     }
 
     /// Applies one refusal.

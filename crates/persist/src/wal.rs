@@ -625,13 +625,10 @@ pub struct ReplayOutcome {
 /// not collect: it streams the same records into its own vectors.
 pub fn replay(bytes: &[u8]) -> ReplayOutcome {
     let mut records = Vec::new();
-    let (valid_len, _) = match replay_each(bytes, |record| {
+    let Ok((valid_len, _)) = replay_each(bytes, |record| {
         records.push(record);
         Ok::<(), std::convert::Infallible>(())
-    }) {
-        Ok(end) => end,
-        Err(never) => match never {},
-    };
+    });
     ReplayOutcome { records, valid_len, truncated: valid_len != bytes.len() }
 }
 
