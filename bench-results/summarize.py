@@ -67,6 +67,12 @@ ENTRIES = [
         "dir": "one-pass-recovery",
         "claimed": {"recover-heal": ["setup_s"]},
     },
+    {
+        "entry": 19,
+        "change": "A shared tenant's warm grant writes only the budget CAS and the audit sequence",
+        "dir": "shared-tenant-grant",
+        "claimed": {"grant-inmem": ["rel_per_s"]},
+    },
 ]
 
 

@@ -207,10 +207,15 @@ impl Hasher for PreHashed {
 /// so query labels cannot be chosen to collide.
 static KEY_HASHER: OnceLock<RandomState> = OnceLock::new();
 
-/// One append shard: its rows and the key table they index.
+/// One append shard: its rows, the key table they index, and the ε its
+/// rows debited.
 #[derive(Debug, Default)]
 struct Shard {
     rows: Vec<Row>,
+    /// The fixed-point debit of the shard's rows, kept under the shard
+    /// mutex the append already holds, so no appender writes a counter
+    /// another thread writes too.
+    units: u64,
     /// Built on the shard's first append. Most shards of a log stay
     /// empty, and keeping them small keeps building a session cheap.
     table: Option<Box<KeyTable>>,
@@ -298,9 +303,16 @@ const MAX_VERSION: u64 = (1 << (64 - VERSION_SHIFT)) - 1;
 /// realistic serving thread count without measurable snapshot cost.
 const AUDIT_SHARDS: usize = 16;
 
-/// The shard slot of the calling thread: assigned round-robin on first use
-/// and cached in a thread-local, so a serving thread always appends to the
-/// same shard (its "per-thread append buffer").
+/// Slots between the shards of threads started one after another. The
+/// shards are not padded to cache lines (padding all 16 makes a log slower
+/// to build), so adjacent shards can share a line; 7 shards apart (coprime
+/// to 16, so 16 threads in a row still cover every shard) they never do.
+const SHARD_STRIDE: usize = 7;
+
+/// The shard slot of the calling thread: assigned round-robin, in steps of
+/// [`SHARD_STRIDE`], on first use and cached in a thread-local, so a
+/// serving thread always appends to the same shard (its "per-thread append
+/// buffer").
 fn thread_shard() -> usize {
     static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
@@ -309,7 +321,7 @@ fn thread_shard() -> usize {
     SLOT.with(|slot| {
         let mut v = slot.get();
         if v == usize::MAX {
-            v = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % AUDIT_SHARDS;
+            v = NEXT_SLOT.fetch_add(1, Ordering::Relaxed).wrapping_mul(SHARD_STRIDE) % AUDIT_SHARDS;
             slot.set(v);
         }
         v
@@ -329,9 +341,9 @@ fn thread_shard() -> usize {
 /// rebuilds each record from its row and key, so single-threaded callers
 /// observe exactly the historical append-order log, and concurrent callers
 /// observe a total order consistent with the grant sequence.
-/// [`AuditLog::len`] / [`AuditLog::is_empty`] /
-/// [`AuditLog::total_epsilon`] read atomic counters — O(1), never
-/// contending with appenders.
+/// [`AuditLog::len`] / [`AuditLog::is_empty`] read the sequence counter;
+/// [`AuditLog::total_epsilon`] sums the recovered base and each shard's
+/// units, one shard lock at a time.
 #[derive(Debug)]
 pub struct AuditLog {
     /// Packed counter: low 48 bits are the next sequence stamp (== number of
@@ -340,9 +352,10 @@ pub struct AuditLog {
     /// stamps monotone: index allocation and version observation are a
     /// single `fetch_add`.
     seq: AtomicU64,
-    /// Total debited ε across all records, in [`BudgetAccountant::RESOLUTION`]
-    /// fixed-point units — the iteration-free ledger total.
-    spent_units: AtomicU64,
+    /// The debited ε of the collapsed pre-recovery history, in
+    /// [`BudgetAccountant::RESOLUTION`] fixed-point units; the live
+    /// releases' units are kept per shard.
+    base_units: u64,
     /// Collapsed pre-recovery history: ledger entries reconstructed from a
     /// durable snapshot, prepended to every [`AuditLog::ledger`] view.
     /// Empty (and allocation-free) for non-recovered logs.
@@ -379,7 +392,7 @@ impl AuditLog {
         debug_assert!(seq <= INDEX_MASK && version <= MAX_VERSION);
         Self {
             seq: AtomicU64::new(seq | (version << VERSION_SHIFT)),
-            spent_units: AtomicU64::new(spent_units),
+            base_units: spent_units,
             base,
             shards: (0..AUDIT_SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
         }
@@ -408,10 +421,10 @@ impl AuditLog {
         if releases.peek().is_none() {
             return;
         }
-        let (mut next, mut units) = (0u64, 0u64);
+        let mut next = 0u64;
         {
             let mut shard = self.shards[thread_shard()].lock();
-            let Shard { rows, table } = &mut *shard;
+            let Shard { rows, units, table } = &mut *shard;
             let table = table.get_or_insert_default();
             rows.reserve(releases.size_hint().0);
             for (index, version, key, debit) in releases {
@@ -421,10 +434,9 @@ impl AuditLog {
                     key: table.key_id(&key),
                 });
                 next = next.max(index + 1);
-                units = units.wrapping_add(debit);
+                *units = units.wrapping_add(debit);
             }
         }
-        self.spent_units.fetch_add(units, Ordering::AcqRel);
         // Recovery is single-writer, so reading the version bits and
         // fetch_max'ing the packed word is race-free here.
         let version = self.seq.load(Ordering::Acquire) >> VERSION_SHIFT;
@@ -440,11 +452,11 @@ impl AuditLog {
     }
 
     /// Appends the row of the release stamped `(index, version)` to the
-    /// calling thread's shard, and debits `units` from the ε accumulator.
+    /// calling thread's shard, and adds `units` to that shard's ε total.
     /// Every live append — grant path, [`AuditLog::append_versioned`] —
     /// goes through here; recovery goes through [`AuditLog::restore_rows`].
-    /// Only the thread's own shard mutex is taken; a warm append clones no
-    /// `Arc`.
+    /// Only the thread's own shard mutex is taken and no log-wide word is
+    /// written; a warm append clones no `Arc`.
     ///
     /// Live appends debit [`AuditKeyRef::units`] — the **same**
     /// ceiling-rounded fixed-point conversion the `BudgetAccountant` grant
@@ -454,10 +466,10 @@ impl AuditLog {
     /// commutes).
     pub(crate) fn push_row(&self, index: u64, version: u64, key: AuditKeyRef<'_>, units: u64) {
         debug_assert!(index <= INDEX_MASK && version <= MAX_VERSION);
-        self.spent_units.fetch_add(units, Ordering::AcqRel);
         let mut shard = self.shards[thread_shard()].lock();
         let key = shard.table.get_or_insert_default().key_id(&key);
         shard.rows.push(Row { stamp: index | (version << VERSION_SHIFT), key });
+        shard.units = shard.units.wrapping_add(units);
     }
 
     /// Allocates the next monotone release index and appends the record
@@ -587,25 +599,27 @@ impl AuditLog {
         self.len() == 0
     }
 
-    /// Total ε debited across every audited release, maintained atomically
-    /// on append (fixed-point, [`BudgetAccountant::RESOLUTION`] units): the
-    /// iteration-free ledger total, exactly what the accountant's grant
-    /// path debits for the same releases — bit for bit, not merely within a
-    /// float tolerance (see [`AuditLog::total_epsilon_units`]).
+    /// Total ε debited across every audited release (fixed-point,
+    /// [`BudgetAccountant::RESOLUTION`] units, kept per shard on append):
+    /// the ledger total without iterating the rows, exactly what the
+    /// accountant's grant path debits for the same releases — bit for bit,
+    /// not merely within a float tolerance (see
+    /// [`AuditLog::total_epsilon_units`]).
     pub fn total_epsilon(&self) -> f64 {
-        self.spent_units.load(Ordering::Acquire) as f64 * BudgetAccountant::RESOLUTION
+        self.total_epsilon_units() as f64 * BudgetAccountant::RESOLUTION
     }
 
     /// The raw fixed-point ε total ([`BudgetAccountant::RESOLUTION`] units
-    /// each) — directly comparable to
-    /// `BudgetAccountant::total_spent_units()`: when every accountant grant
-    /// is audited (every session release path), the two integers are equal
-    /// under any thread interleaving.
+    /// each): the recovered base plus every shard's units, O(shards). It is
+    /// directly comparable to `BudgetAccountant::total_spent_units()`: when
+    /// every accountant grant is audited (every session release path), the
+    /// two integers are equal under any thread interleaving once the
+    /// appenders have quiesced.
     pub fn total_epsilon_units(&self) -> u64 {
-        self.spent_units.load(Ordering::Acquire)
+        self.shards.iter().fold(self.base_units, |sum, shard| sum.wrapping_add(shard.lock().units))
     }
 
-    /// O(1) budget check: whether the log's total ε respects `limit`
+    /// O(shards) budget check: whether the log's total ε respects `limit`
     /// (vacuously true without one). Compared in fixed-point units — the
     /// same integers the accountant's cap enforcement uses, so the verdict
     /// never drifts from the grant path's. The iteration-free half of

@@ -1,11 +1,14 @@
 //! Session-level label interning.
 //!
-//! A session serving heavy traffic repeats the same handful of labels
-//! millions of times. Each single release derives one RNG stream label
-//! (`release/<mechanism>`), and override releases and epoch transitions
-//! name a policy. Before interning, each paid a `to_string()` or a
-//! `format!`; the [`Interner`] replaces that with one `Arc<str>` clone per
-//! use — an atomic increment — after the first occurrence.
+//! Override releases and epoch transitions name a policy, and a session
+//! repeats the same handful of policy labels many times. The [`Interner`]
+//! replaces a `to_string()` per use with one `Arc<str>` clone — an atomic
+//! increment — after the first occurrence.
+//!
+//! Stream labels are not interned. A single release seeds its RNG from
+//! `"release/"` and the mechanism name hashed as two parts
+//! (`SeedSequence::rng_for_parts`), which gives the seed the whole label
+//! would, with no lock and no shared reference count on the release path.
 //!
 //! The audit log does not intern: it stores each release as a 16-byte row
 //! over a per-shard key table of distinct tuples (`crate::audit`) and
@@ -34,26 +37,19 @@ impl Interner {
         Self::default()
     }
 
-    /// The interned copy of `key` itself.
+    /// The interned copy of `key`. Lookups after the first allocate
+    /// nothing.
     pub(crate) fn get(&self, key: &str) -> Arc<str> {
-        self.get_with(key, str::to_string)
-    }
-
-    /// The interned label derived from `key` by `make`, built on first use.
-    /// Lookups after the first allocate nothing.
-    pub(crate) fn get_with(&self, key: &str, make: impl FnOnce(&str) -> String) -> Arc<str> {
-        if let Some(value) = self.map.lock().get(key) {
+        let mut map = self.map.lock();
+        if let Some(value) = map.get(key) {
             return Arc::clone(value);
         }
-        // Built outside the lock: `make` may be arbitrary caller code. Two
-        // racing builders produce equal content, so keeping the first is
-        // safe either way.
-        let value: Arc<str> = make(key).into();
-        let mut map = self.map.lock();
         if map.len() >= INTERN_CAP {
             map.clear();
         }
-        Arc::clone(map.entry(key.to_string()).or_insert_with(|| Arc::clone(&value)))
+        let value: Arc<str> = key.into();
+        map.insert(key.to_string(), Arc::clone(&value));
+        value
     }
 }
 
@@ -69,21 +65,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "repeat lookups share the allocation");
         assert_eq!(&*a, "OsdpLaplaceL1");
         assert!(!Arc::ptr_eq(&a, &pool.get("DAWA")));
-    }
-
-    #[test]
-    fn derived_labels_are_built_once() {
-        let pool = Interner::new();
-        let mut builds = 0;
-        let mut derive = |key: &str| {
-            builds += 1;
-            format!("release/{key}")
-        };
-        let a = pool.get_with("DAWA", &mut derive);
-        let b = pool.get_with("DAWA", &mut derive);
-        assert_eq!(&*a, "release/DAWA");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(builds, 1, "the format! ran exactly once");
     }
 
     #[test]

@@ -229,6 +229,23 @@
 //! What is atomic, what is sharded, and what ordering the audit ledger
 //! guarantees:
 //!
+//! * **Two shared writes per release.** Sequential composition (Theorem
+//!   3.3) needs exactly two writes to a word other threads also write: the
+//!   accountant's units CAS and the audit sequence `fetch_add` that stamps
+//!   the index and version. A warm release of a histogram-backed session
+//!   writes no other word or cache line that another serving thread
+//!   writes: the bound task and the policy label are borrowed, the RNG
+//!   stream label is hashed in parts instead of looked up, and the audit
+//!   row and its ε land in the thread's own shard (threads started one
+//!   after another get shards far enough apart that their mutexes never
+//!   share a line). Routing through a [`SessionPool`] adds the tenant
+//!   shard's read lock and the session `Arc` clone, and its health machine
+//!   is one load while every tenant is healthy; a record-backed session's
+//!   task-cache hit adds the cached task's `Arc` clone, which the grant
+//!   moves to the sampler. A counter added to the grant path (telemetry
+//!   included) must keep this rule: count per thread or per shard, never in
+//!   one shared atomic.
+//!
 //! * **Budget enforcement is atomic.** The
 //!   [`osdp_core::BudgetAccountant`] keeps its spent total in fixed-point ε
 //!   units ([`osdp_core::BudgetAccountant::RESOLUTION`] = 1e-12 ε) behind a
@@ -246,9 +263,12 @@
 //!   index keying the deterministic RNG streams. A shard keeps a release as
 //!   a 16-byte row (the packed stamp and a key id) over a table of the
 //!   distinct `(mechanism, policy, query, bins, trials, guarantee)` tuples
-//!   it has seen, and snapshots rebuild the records. `AuditLog::len` /
-//!   `is_empty` / `total_epsilon` read atomic counters without touching the
-//!   shards; [`AuditLog::records`] (O(n)) merges the shards back into
+//!   it has seen, and snapshots rebuild the records. Each shard also sums
+//!   the ε units of its rows, under the mutex the append already holds.
+//!   `AuditLog::len` / `is_empty` read the sequence counter without
+//!   touching the shards; `total_epsilon` adds the recovered base to the
+//!   shards' sums, locking one shard at a time (O(shards), not O(n));
+//!   [`AuditLog::records`] (O(n)) merges the shards back into
 //!   release-index order. Single-threaded callers therefore observe exactly
 //!   the historical append-order log — the bitwise-parity oracle paths are
 //!   unchanged — while concurrent callers observe a total order consistent
@@ -262,7 +282,11 @@
 //!   already-known policies only ever read.
 //! * **Multi-tenant serving is a shard map.** [`SessionPool`] routes
 //!   releases by tenant key to per-tenant sessions through shard read
-//!   locks; per-tenant budgets are enforced independently, and the
+//!   locks (the session `Arc` is cloned, not borrowed under the lock, so a
+//!   durable release never holds a shard lock across its fsync). While no
+//!   tenant is Degraded or Quarantined, admission and outcome recording
+//!   read one pool-wide count and take no lock; per-tenant budgets are
+//!   enforced independently, and the
 //!   pool-wide cost across disjoint tenants composes in parallel
 //!   (Theorem 10.2, [`SessionPool::parallel_composed_epsilon`]), with
 //!   [`SessionPool::verify_all_ledgers`] checking every tenant's ledger in

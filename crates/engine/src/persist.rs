@@ -14,8 +14,8 @@ use osdp_core::budget::{epsilon_to_units, units_to_epsilon, LedgerEntry};
 use osdp_core::error::Result;
 use osdp_core::{Guarantee, PrivacyGuarantee};
 use osdp_persist::{
-    GrantRecord, GroupCommitStats, GuaranteeTag, LedgerOptions, RecoveredLedger, RecoveryReport,
-    RefusalRecord, SnapshotCounters, SyncPolicy, TenantLedger, Vfs,
+    GrantRecord, GrantRef, GroupCommitStats, GuaranteeTag, LedgerOptions, RecoveredLedger,
+    RecoveryReport, RefusalRecord, SnapshotCounters, SyncPolicy, TenantLedger, Vfs,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -85,18 +85,21 @@ impl SessionWal {
     /// expression and ceiling conversion the accountant debited and the
     /// audit log accumulated, so replaying the stored integer reconstructs
     /// both counters exactly.
+    ///
+    /// The labels are lent to the ledger, which copies them only to hand a
+    /// group-commit frame to its committer thread.
     pub fn log_grant(&self, event: GrantEvent<'_>) -> Result<()> {
         let total_epsilon = event.guarantee.epsilon() * event.trials as f64;
-        self.ledger.append_grant(&GrantRecord {
+        self.ledger.append_grant(GrantRef {
             index: event.index,
             units: epsilon_to_units(total_epsilon),
             epsilon: event.guarantee.epsilon(),
             trials: event.trials as u64,
             bins: event.bins as u64,
             guarantee: tag_of(event.guarantee),
-            mechanism: Arc::from(event.mechanism),
-            policy: Arc::from(event.policy),
-            query: Arc::from(event.query),
+            mechanism: event.mechanism,
+            policy: event.policy,
+            query: event.query,
             policy_version: event.policy_version,
         })
     }

@@ -10,10 +10,10 @@
 //! records within one session, lifted to the process level.
 //!
 //! Concurrency: tenant lookup takes a shard **read** lock (shared, so
-//! concurrent releases to any mix of tenants never serialize in the pool),
-//! and each session's own grant path is lock-free (see the crate docs'
-//! concurrency model). Write locks are taken only to register or evict a
-//! tenant.
+//! concurrent releases to any mix of tenants never serialize in the pool)
+//! and clones the session `Arc`, and each session's own grant path is
+//! lock-free (see the crate docs' concurrency model). Write locks are taken
+//! only to register or evict a tenant.
 //!
 //! Durable pools additionally run a per-tenant **health machine**
 //! ([`TenantHealth`]): typed persistence failures on a tenant's shard
@@ -22,7 +22,11 @@
 //! dead disk — while every other tenant keeps serving.
 //! [`SessionPool::try_heal`] reopens the failed shard through snapshot +
 //! replay recovery and restores the tenant to service; see the crate docs'
-//! *Failure model*.
+//! *Failure model*. The pool counts the tenants that are not
+//! [`TenantHealth::Healthy`]; while that count is zero, admitting a release
+//! and recording its outcome are one load of the count, with no lock on the
+//! health map or on any tenant's cell. Once the last failing tenant heals
+//! (or succeeds again), releases are back on that path.
 
 use crate::persist::SessionPersistence;
 use crate::session::{OsdpSession, PoolRelease, Release, SessionBuilder, SessionQuery};
@@ -35,6 +39,7 @@ use osdp_persist::{force_unlock, persist_error, LedgerOptions, StdVfs, SyncPolic
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -109,7 +114,8 @@ impl Default for HealthPolicy {
 }
 
 /// The mutable state behind one tenant's health cell. Cells are created
-/// lazily on the first observed failure, so healthy tenants cost the pool
+/// lazily on the first observed failure and are read on the release path
+/// only while some tenant is not healthy, so healthy tenants cost the pool
 /// nothing.
 #[derive(Debug)]
 struct HealthInner {
@@ -179,6 +185,11 @@ pub struct SessionPool<R = Record> {
     shards: Vec<Shard<R>>,
     persist: Option<PoolPersistence>,
     health: RwLock<HashMap<Arc<str>, HealthCell>>,
+    /// How many health cells are not [`TenantHealth::Healthy`], changed
+    /// only under the cell's lock together with its state. While it reads
+    /// zero the release path leaves `health` alone: admission and success
+    /// are then one load of this word.
+    unhealthy: AtomicUsize,
     health_policy: HealthPolicy,
     /// The supervisor's open shared-device incident, mirrored into the pool
     /// so [`SessionPool::health_snapshot`] is the one read surface operators
@@ -192,6 +203,7 @@ impl<R> Default for SessionPool<R> {
             shards: (0..POOL_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             persist: None,
             health: RwLock::new(HashMap::new()),
+            unhealthy: AtomicUsize::new(0),
             health_policy: HealthPolicy::default(),
             incident: RwLock::new(None),
         }
@@ -568,6 +580,9 @@ impl<R> SessionPool<R> {
     /// behind a dead disk — except for one half-open probe once the
     /// cooldown has elapsed.
     fn admit(&self, tenant: &str) -> Result<()> {
+        if !self.any_unhealthy() {
+            return Ok(());
+        }
         let Some(cell) = self.health_cell(tenant) else {
             return Ok(());
         };
@@ -586,12 +601,39 @@ impl<R> SessionPool<R> {
         Err(OsdpError::TenantQuarantined { tenant: tenant.to_string() })
     }
 
+    /// Whether any tenant is Degraded or Quarantined. A `Healthy` cell is in
+    /// its reset state (no failures counted, no breaker open, no probe in
+    /// flight, no `last_error`), so while this is false a release outcome
+    /// has nothing to admit against and nothing to reset.
+    fn any_unhealthy(&self) -> bool {
+        self.unhealthy.load(Ordering::Acquire) != 0
+    }
+
+    /// Moves a cell to `health`, keeping [`SessionPool::any_unhealthy`]'s
+    /// count in step. The caller holds the cell's lock.
+    fn set_health(&self, inner: &mut HealthInner, health: TenantHealth) {
+        match (inner.health == TenantHealth::Healthy, health == TenantHealth::Healthy) {
+            (true, false) => {
+                self.unhealthy.fetch_add(1, Ordering::AcqRel);
+            }
+            (false, true) => {
+                self.unhealthy.fetch_sub(1, Ordering::AcqRel);
+            }
+            _ => {}
+        }
+        inner.health = health;
+    }
+
     /// A durable success: closes the breaker. Only resets an existing cell
-    /// — successes never allocate health state.
+    /// — successes never allocate health state, and while every tenant is
+    /// healthy they touch no cell at all.
     fn record_success(&self, tenant: &str) {
+        if !self.any_unhealthy() {
+            return;
+        }
         if let Some(cell) = self.health_cell(tenant) {
             let mut inner = cell.lock();
-            inner.health = TenantHealth::Healthy;
+            self.set_health(&mut inner, TenantHealth::Healthy);
             inner.consecutive = 0;
             inner.opened_at = None;
             inner.probing = false;
@@ -614,10 +656,10 @@ impl<R> SessionPool<R> {
         if err.class == FaultClass::Permanent
             || inner.consecutive >= self.health_policy.quarantine_after
         {
-            inner.health = TenantHealth::Quarantined;
+            self.set_health(&mut inner, TenantHealth::Quarantined);
             inner.opened_at = Some(Instant::now());
         } else {
-            inner.health = TenantHealth::Degraded;
+            self.set_health(&mut inner, TenantHealth::Degraded);
         }
     }
 
@@ -634,11 +676,13 @@ impl<R> SessionPool<R> {
                 tenant,
                 &PersistError::new(PersistOp::Commit, "", FaultClass::Permanent, msg.clone()),
             ),
-            Err(_) => {
+            // Only a Quarantined cell can have a probe in flight.
+            Err(_) if self.any_unhealthy() => {
                 if let Some(cell) = self.health_cell(tenant) {
                     cell.lock().probing = false;
                 }
             }
+            Err(_) => {}
         }
         result
     }
@@ -1243,6 +1287,58 @@ mod tests {
         // A successful probe closes the breaker.
         let _: Result<()> = pool.observe("acme", Ok(()));
         assert_eq!(pool.health("acme"), TenantHealth::Healthy);
+    }
+
+    #[test]
+    fn the_unhealthy_count_returns_to_zero_and_reopens_the_fast_path() {
+        let dir = tmp_dir("fast-path");
+        let pool: SessionPool<u32> =
+            SessionPool::open(dir.clone(), SyncPolicy::Always).unwrap().with_health_policy(
+                HealthPolicy { quarantine_after: 2, probe_cooldown: Duration::ZERO },
+            );
+        pool.open_tenant("acme", durable_builder).unwrap();
+        pool.open_tenant("globex", durable_builder).unwrap();
+        let m = OsdpLaplaceL1::new(0.25).unwrap();
+        let unhealthy = || pool.unhealthy.load(Ordering::Acquire);
+        assert_eq!(unhealthy(), 0);
+
+        // Degraded, then a served release closes the breaker: the count is
+        // back to zero, though the tenant's cell stays in the map.
+        pool.record_failure("acme", &transient());
+        assert_eq!((pool.health("acme"), unhealthy()), (TenantHealth::Degraded, 1));
+        pool.release("acme", &mod8_query(), &m).unwrap();
+        assert_eq!((pool.health("acme"), unhealthy()), (TenantHealth::Healthy, 0));
+
+        // Quarantined: one tenant counts once however often it fails.
+        pool.record_failure("acme", &transient());
+        pool.record_failure("acme", &transient());
+        pool.record_failure("acme", &permanent());
+        assert_eq!((pool.health("acme"), unhealthy()), (TenantHealth::Quarantined, 1));
+        // The cooldown is zero: exactly one half-open probe is admitted,
+        // the next release is refused fast, and another tenant is served
+        // without touching the open breaker.
+        assert!(pool.admit("acme").is_ok());
+        assert!(matches!(
+            pool.release("acme", &mod8_query(), &m),
+            Err(OsdpError::TenantQuarantined { .. })
+        ));
+        pool.release("globex", &mod8_query(), &m).unwrap();
+        assert_eq!((pool.health("globex"), unhealthy()), (TenantHealth::Healthy, 1));
+        assert_eq!(pool.health("acme"), TenantHealth::Quarantined);
+        // The probe fails; the breaker re-opens, still counted once.
+        pool.record_failure("acme", &permanent());
+        assert_eq!((pool.health("acme"), unhealthy()), (TenantHealth::Quarantined, 1));
+
+        // A heal restores the tenant and the count: releases are back on
+        // the path that reads no health cell.
+        pool.try_heal("acme", durable_builder).unwrap();
+        assert_eq!((pool.health("acme"), unhealthy()), (TenantHealth::Healthy, 0));
+        pool.release("acme", &mod8_query(), &m).unwrap();
+        pool.release("globex", &mod8_query(), &m).unwrap();
+        assert_eq!(unhealthy(), 0);
+        assert_eq!(pool.get("acme").unwrap().total_spent(), 0.5);
+        assert!(pool.verify_all_ledgers().all_upheld());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

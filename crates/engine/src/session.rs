@@ -140,7 +140,28 @@ trait GrantInput: Clone {
     fn bins(&self) -> usize;
 }
 
-impl GrantInput for Arc<HistogramTask> {
+/// A derived task: borrowed from a histogram-backed session's bound pair,
+/// or shared with the task cache (or owned by a one-off scan). Borrowing
+/// the bound pair keeps a release off the pair's reference count, which
+/// every thread serving the session would otherwise write.
+#[derive(Clone)]
+enum TaskRef<'a> {
+    Bound(&'a HistogramTask),
+    Shared(Arc<HistogramTask>),
+}
+
+impl std::ops::Deref for TaskRef<'_> {
+    type Target = HistogramTask;
+
+    fn deref(&self) -> &HistogramTask {
+        match self {
+            TaskRef::Bound(task) => task,
+            TaskRef::Shared(task) => task,
+        }
+    }
+}
+
+impl GrantInput for TaskRef<'_> {
     fn bins(&self) -> usize {
         HistogramTask::bins(self)
     }
@@ -556,7 +577,6 @@ impl<R> SessionBuilder<R> {
             policies: RwLock::new(policies),
             tasks: TaskCache::new(),
             labels: Interner::new(),
-            stream_labels: Interner::new(),
         })
     }
 }
@@ -639,9 +659,6 @@ pub struct OsdpSession<R = Record> {
     tasks: TaskCache<R>,
     /// Interned policy labels of override releases and epoch transitions.
     labels: Interner,
-    /// Interned RNG stream labels (`release/<mechanism>`), so single
-    /// releases stop paying a `format!` each.
-    stream_labels: Interner,
 }
 
 impl<R> std::fmt::Debug for OsdpSession<R> {
@@ -726,8 +743,9 @@ impl<R> OsdpSession<R> {
         self.audit.len()
     }
 
-    /// Total ε across every audited release — one atomic load (the
-    /// iteration-free ledger total, see [`AuditLog::total_epsilon`]).
+    /// Total ε across every audited release — the recovered base plus each
+    /// audit shard's running sum, O(shards) (see
+    /// [`AuditLog::total_epsilon`]).
     /// Accumulated in the accountant's fixed-point units, so for any session
     /// it equals [`OsdpSession::total_spent`] **bit for bit** — every grant
     /// is audited and both sides convert the same f64 ε with the same
@@ -796,25 +814,31 @@ impl<R> OsdpSession<R> {
         &self,
         query: &SessionQuery<R>,
         epoch: Option<&EpochState<R>>,
-    ) -> Result<Arc<HistogramTask>> {
+    ) -> Result<TaskRef<'_>> {
         match (&self.source, query, epoch) {
-            (Source::Bound { task }, SessionQuery::Bound, _) => Ok(Arc::clone(task)),
+            (Source::Bound { task }, SessionQuery::Bound, _) => Ok(TaskRef::Bound(task)),
             (
                 Source::Records { backend, .. },
                 SessionQuery::CountBy { bins, bin_of, spec, .. },
                 Some(e),
-            ) => self.tasks.get_or_derive(
-                TaskIdentity {
-                    bins: *bins,
-                    bin_of,
-                    spec: spec.as_ref(),
-                    policy: &e.policy,
-                    policy_version: e.version,
-                    backend,
-                },
-                || self.scan_under(query, Some(&e.policy), &e.label, e.version)?.into_task(),
-            ),
-            _ => self.scan_under(query, None, &self.policy_label, 0)?.into_task().map(Arc::new),
+            ) => self
+                .tasks
+                .get_or_derive(
+                    TaskIdentity {
+                        bins: *bins,
+                        bin_of,
+                        spec: spec.as_ref(),
+                        policy: &e.policy,
+                        policy_version: e.version,
+                        backend,
+                    },
+                    || self.scan_under(query, Some(&e.policy), &e.label, e.version)?.into_task(),
+                )
+                .map(TaskRef::Shared),
+            _ => self
+                .scan_under(query, None, &self.policy_label, 0)?
+                .into_task()
+                .map(|task| TaskRef::Shared(Arc::new(task))),
         }
     }
 
@@ -954,11 +978,9 @@ impl<R> OsdpSession<R> {
             1,
             |index, label, task| (index, label.to_string(), task),
         )?;
-        // Interned stream label: same content as the historical
-        // `format!("release/{name}")`, built once per mechanism name.
-        let stream =
-            self.stream_labels.get_with(mechanism.name(), |name| format!("release/{name}"));
-        let mut rng = self.seeds.rng_for(&stream, index);
+        // The `release/<mechanism>` stream, hashed in parts: no label is
+        // built, and the seed is the one the whole label hashes to.
+        let mut rng = self.seeds.rng_for_parts(&["release/", mechanism.name()], index);
         let mut estimate = Histogram::zeros(0);
         mechanism.release_into(&task, &mut rng, &mut estimate);
         Ok(Release { estimate, mechanism: mechanism.name().to_string(), policy, guarantee, index })
@@ -1002,13 +1024,18 @@ impl<R> OsdpSession<R> {
             ));
         }
         let captured = self.current_epoch();
+        // The epoch's label is borrowed; only a fixed derivation owns one.
+        let fixed_label;
         let (input, label, rederive, new_policy) = match derive {
             Derive::Epoch(derive) => {
                 let label = captured.map_or(&self.policy_label, |e| &e.label);
                 let rederive = captured.map(|e| (derive, e.version));
-                (derive(captured)?, Arc::clone(label), rederive, None)
+                (derive(captured)?, label, rederive, None)
             }
-            Derive::Fixed { input, label, policy } => (input, label, None, policy),
+            Derive::Fixed { input, label, policy } => {
+                fixed_label = label;
+                (input, &fixed_label, None, policy)
+            }
         };
         let (units, requested) = debit_units(debits.iter().map(|&(_, g)| g), trials)?;
         if let Err(err) = self.accountant.spend_units(units, requested) {
@@ -1021,10 +1048,13 @@ impl<R> OsdpSession<R> {
             return Err(err);
         }
         if let Some(policy) = new_policy {
-            self.remember_policy(&label, policy);
+            self.remember_policy(label, policy);
         }
+        let bins = input.bins();
+        // Cloned for every debit but the last, which takes it.
+        let mut input = Some(input);
         let mut last = None;
-        for &(mechanism, guarantee) in debits {
+        for (at, &(mechanism, guarantee)) in debits.iter().enumerate() {
             let (index, version) = self.audit.next_stamp();
             let mut stamped = None;
             if let (Some((_, captured)), Source::Records { epoch, .. }) = (rederive, &self.source) {
@@ -1032,13 +1062,13 @@ impl<R> OsdpSession<R> {
                     stamped = epoch.state(version);
                 }
             }
-            let policy = stamped.as_ref().map_or(&label, |state| &state.label);
-            let key =
-                AuditKeyRef { mechanism, policy, query, bins: input.bins(), trials, guarantee };
+            let policy = stamped.as_ref().map_or(label, |state| &state.label);
+            let key = AuditKeyRef { mechanism, policy, query, bins, trials, guarantee };
             self.audit.push_row(index, version, key, key.units());
             let input = match (&stamped, rederive) {
                 (Some(state), Some((derive, _))) => derive(Some(state))?,
-                _ => input.clone(),
+                _ if at + 1 == debits.len() => input.take().expect("taken by the last debit"),
+                _ => input.clone().expect("taken by the last debit"),
             };
             if let Some(wal) = &self.wal {
                 wal.log_grant(GrantEvent {

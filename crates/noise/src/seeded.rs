@@ -30,10 +30,20 @@ impl SeedSequence {
     /// Derives an RNG for a named subtask; the same `(seed, label, index)`
     /// always yields the same stream.
     pub fn rng_for(&self, label: &str, index: u64) -> ChaCha12Rng {
+        self.rng_for_parts(&[label], index)
+    }
+
+    /// [`SeedSequence::rng_for`] with the label given as consecutive parts:
+    /// the stream of `(seed, parts.concat(), index)`, without building the
+    /// concatenation. The label is hashed byte by byte, so how it is split
+    /// into parts never changes the stream.
+    pub fn rng_for_parts(&self, parts: &[&str], index: u64) -> ChaCha12Rng {
         let mut hash = self.root ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1));
-        for b in label.as_bytes() {
-            hash = hash.rotate_left(5) ^ u64::from(*b);
-            hash = hash.wrapping_mul(0x100_0000_01B3);
+        for part in parts {
+            for b in part.as_bytes() {
+                hash = hash.rotate_left(5) ^ u64::from(*b);
+                hash = hash.wrapping_mul(0x100_0000_01B3);
+            }
         }
         ChaCha12Rng::seed_from_u64(hash)
     }
@@ -91,6 +101,26 @@ mod tests {
         assert_ne!(a, c);
         let d = SeedSequence::new(8).rng_for("x", 0).next_u64();
         assert_ne!(a, d, "different roots diverge");
+    }
+
+    #[test]
+    fn parted_labels_give_the_concatenated_labels_stream() {
+        let s = SeedSequence::new(0x05D9_2020);
+        for name in ["OsdpLaplaceL1", "DAWAz", "Laplace", ""] {
+            for index in [0, 1, 7, 1 << 40] {
+                let whole: Vec<u64> = (0..8)
+                    .scan(s.rng_for(&format!("release/{name}"), index), |r, _| Some(r.next_u64()))
+                    .collect();
+                let parted: Vec<u64> = (0..8)
+                    .scan(s.rng_for_parts(&["release/", name], index), |r, _| Some(r.next_u64()))
+                    .collect();
+                assert_eq!(whole, parted, "release/{name} at index {index}");
+            }
+        }
+        assert_ne!(
+            s.rng_for_parts(&["release/", "DAWAz"], 0).next_u64(),
+            s.rng_for_parts(&["release/", "Laplace"], 0).next_u64()
+        );
     }
 
     #[test]

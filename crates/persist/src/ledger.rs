@@ -49,7 +49,7 @@ use crate::committer::{
     spawn, CommitterHandle, FrameSubmission, GroupCommitStats, GroupCounters, Submission, Waiter,
 };
 use crate::record::{
-    EpochRecord, GrantRecord, RecordRef, RefusalRecord, SnapshotCounters, WalRecord,
+    EpochRecord, GrantRecord, GrantRef, RecordRef, RefusalRecord, SnapshotCounters, WalRecord,
 };
 use crate::snapshot::{marker_frame, MirrorState, SnapshotState};
 use crate::vfs::{persist_error, StdVfs, Vfs};
@@ -575,8 +575,11 @@ impl TenantLedger {
     }
 
     /// Appends one grant record, durable per the sync policy before return.
-    pub fn append_grant(&self, grant: &GrantRecord) -> Result<()> {
-        self.append(RecordRef::Grant(grant))
+    /// Takes a [`GrantRef`] or a `&GrantRecord`; under `Always` and
+    /// `EveryN` the labels are only borrowed, so a warm append allocates
+    /// nothing.
+    pub fn append_grant<'a>(&self, grant: impl Into<GrantRef<'a>>) -> Result<()> {
+        self.append(RecordRef::Grant(grant.into()))
     }
 
     /// Appends one refusal record, durable per the sync policy.

@@ -109,7 +109,7 @@ pub use committer::GroupCommitStats;
 pub use crc::crc32;
 pub use ledger::{force_unlock, LedgerOptions, RecoveredLedger, RecoveryReport, TenantLedger};
 pub use record::{
-    EpochRecord, GrantRecord, GuaranteeTag, RefusalRecord, SnapshotCounters, WalRecord,
+    EpochRecord, GrantRecord, GrantRef, GuaranteeTag, RefusalRecord, SnapshotCounters, WalRecord,
 };
 pub use scrub::{scrub_shard, ScrubFinding, ScrubReport, ScrubWarning};
 pub use snapshot::{AggregateRow, SnapshotState};

@@ -90,6 +90,70 @@ impl GrantRecord {
     }
 }
 
+/// A [`GrantRecord`] with borrowed labels: what
+/// [`crate::TenantLedger::append_grant`] takes, so a grant whose labels the
+/// caller already holds is encoded and mirrored without building owned
+/// copies. Only the group-commit path, which ships the record to its
+/// committer thread, turns it into a [`GrantRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct GrantRef<'a> {
+    /// See [`GrantRecord::index`].
+    pub index: u64,
+    /// See [`GrantRecord::units`].
+    pub units: u64,
+    /// See [`GrantRecord::epsilon`].
+    pub epsilon: f64,
+    /// See [`GrantRecord::trials`].
+    pub trials: u64,
+    /// See [`GrantRecord::bins`].
+    pub bins: u64,
+    /// See [`GrantRecord::guarantee`].
+    pub guarantee: GuaranteeTag,
+    /// See [`GrantRecord::mechanism`].
+    pub mechanism: &'a str,
+    /// See [`GrantRecord::policy`].
+    pub policy: &'a str,
+    /// See [`GrantRecord::query`].
+    pub query: &'a str,
+    /// See [`GrantRecord::policy_version`].
+    pub policy_version: u64,
+}
+
+impl GrantRef<'_> {
+    /// The owned record, its labels newly allocated.
+    pub(crate) fn to_record(self) -> GrantRecord {
+        GrantRecord {
+            index: self.index,
+            units: self.units,
+            epsilon: self.epsilon,
+            trials: self.trials,
+            bins: self.bins,
+            guarantee: self.guarantee,
+            mechanism: self.mechanism.into(),
+            policy: self.policy.into(),
+            query: self.query.into(),
+            policy_version: self.policy_version,
+        }
+    }
+}
+
+impl<'a> From<&'a GrantRecord> for GrantRef<'a> {
+    fn from(g: &'a GrantRecord) -> Self {
+        GrantRef {
+            index: g.index,
+            units: g.units,
+            epsilon: g.epsilon,
+            trials: g.trials,
+            bins: g.bins,
+            guarantee: g.guarantee,
+            mechanism: &g.mechanism,
+            policy: &g.policy,
+            query: &g.query,
+            policy_version: g.policy_version,
+        }
+    }
+}
+
 /// One refused grant: nothing was spent, but the refusal itself is part of
 /// the tenant's serving history (grants + refusals account for every
 /// attempt against the cap).
@@ -167,13 +231,13 @@ pub enum WalRecord {
 }
 
 /// A borrowed view of an appendable record, so the hot append path can
-/// encode a grant straight from the caller's `&GrantRecord` without first
-/// cloning its strings into an owned [`WalRecord`]. `WalRecord::encode_into`
+/// encode a grant straight from the caller's [`GrantRef`] without first
+/// copying its strings into an owned [`WalRecord`]. `WalRecord::encode_into`
 /// delegates here, so the bytes are identical by construction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RecordRef<'a> {
     /// A borrowed grant.
-    Grant(&'a GrantRecord),
+    Grant(GrantRef<'a>),
     /// A borrowed refusal.
     Refusal(&'a RefusalRecord),
     /// A borrowed snapshot marker.
@@ -199,9 +263,9 @@ impl RecordRef<'_> {
                 put_u64(out, g.trials);
                 put_u64(out, g.bins);
                 out.push(g.guarantee.to_byte());
-                put_str(out, &g.mechanism);
-                put_str(out, &g.policy);
-                put_str(out, &g.query);
+                put_str(out, g.mechanism);
+                put_str(out, g.policy);
+                put_str(out, g.query);
                 // Appended after the original layout so fixed offsets into
                 // the prefix (e.g. the guarantee byte at 41) stay put.
                 put_u64(out, g.policy_version);
@@ -227,13 +291,12 @@ impl RecordRef<'_> {
         }
     }
 
-    /// Clones the borrowed record into its owned form (the group-commit
+    /// Copies the borrowed record into its owned form (the group-commit
     /// submission path, which must ship the record to the committer
-    /// thread). Labels are shared, so a grant costs three reference-count
-    /// increments.
+    /// thread). A grant's three labels are allocated here.
     pub(crate) fn to_owned_record(self) -> WalRecord {
         match self {
-            RecordRef::Grant(g) => WalRecord::Grant(g.clone()),
+            RecordRef::Grant(g) => WalRecord::Grant(g.to_record()),
             RecordRef::Refusal(r) => WalRecord::Refusal(r.clone()),
             RecordRef::Marker { generation, counters } => {
                 WalRecord::SnapshotMarker { generation, counters: *counters }
@@ -247,7 +310,7 @@ impl WalRecord {
     /// The borrowed view of this record.
     pub(crate) fn as_ref(&self) -> RecordRef<'_> {
         match self {
-            WalRecord::Grant(g) => RecordRef::Grant(g),
+            WalRecord::Grant(g) => RecordRef::Grant(g.into()),
             WalRecord::Refusal(r) => RecordRef::Refusal(r),
             WalRecord::SnapshotMarker { generation, counters } => {
                 RecordRef::Marker { generation: *generation, counters }

@@ -9,7 +9,7 @@
 //! into place, so a torn snapshot write can never shadow a good one.
 
 use crate::record::{put_counters, put_str, put_u64, read_counters, GuaranteeTag, Reader};
-use crate::record::{EpochRecord, GrantRecord, SnapshotCounters};
+use crate::record::{EpochRecord, GrantRef, SnapshotCounters};
 use crate::wal::append_record;
 use crate::WalRecord;
 use osdp_core::error::{OsdpError, Result};
@@ -157,12 +157,13 @@ impl MirrorState {
 
     /// Applies one grant. A grant whose triple already has a row — every
     /// grant after a tenant's first few — allocates nothing.
-    pub(crate) fn apply_grant(&mut self, g: &GrantRecord) {
+    pub(crate) fn apply_grant<'a>(&mut self, g: impl Into<GrantRef<'a>>) {
+        let g = g.into();
         self.counters.spent_units = self.counters.spent_units.saturating_add(g.units);
         self.counters.audit_units = self.counters.audit_units.saturating_add(g.units);
         self.counters.audit_seq = self.counters.audit_seq.max(g.index + 1);
         self.counters.grants += 1;
-        let at = self.row_at(&g.mechanism, &g.policy, g.guarantee);
+        let at = self.row_at(g.mechanism, g.policy, g.guarantee);
         let row = &mut self.rows[at];
         row.units = row.units.saturating_add(g.units);
         row.releases += 1;
@@ -231,6 +232,7 @@ pub(crate) fn marker_frame(generation: u64, counters: SnapshotCounters) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::GrantRecord;
     use crate::wal::replay;
 
     fn state() -> SnapshotState {

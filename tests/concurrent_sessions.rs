@@ -202,6 +202,68 @@ fn audit_total_matches_accountant_bit_for_bit_after_a_hammer() {
     );
 }
 
+/// Hammers a capped session until its cap refuses, then checks the audit
+/// log's total (the recovered base plus every shard's units) against the
+/// accountant's integer and verifies the ledger against the cap.
+fn hammer_to_the_cap_and_check_totals(session: &Arc<OsdpSession>, limit: f64) {
+    let eps = 0.07;
+    let (grants, refusals) = hammer(session, eps, 40);
+    assert!(grants > 0 && refusals > 0, "the hammer must reach the cap");
+    assert!(session.remaining_budget().is_some_and(|left| left < eps));
+    assert_eq!(
+        session.audit_total_epsilon_units(),
+        session.accountant().total_spent_units(),
+        "audit and accountant fixed-point totals must be the same integer"
+    );
+    assert_eq!(session.audit_total_epsilon(), session.total_spent());
+    let verdict = verify_ledger(&session.audit_ledger(), Some(limit));
+    assert!(verdict.upholds_osdp());
+}
+
+#[test]
+fn audit_shard_totals_match_the_accountant_on_fresh_and_recovered_sessions() {
+    let limit = 3.0;
+    hammer_to_the_cap_and_check_totals(&Arc::new(bound_session(Some(limit))), limit);
+
+    // A recovered durable session: a snapshot base plus a WAL tail, whose
+    // units the audit total must still count after the hammer.
+    let dir = std::env::temp_dir().join(format!("osdp-audit-totals-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || {
+        let full = Histogram::from_counts(vec![40.0, 10.0, 25.0, 25.0]);
+        let ns = Histogram::from_counts(vec![30.0, 10.0, 0.0, 20.0]);
+        let persistence = SessionPersistence::open(&dir, SyncPolicy::EveryN(16)).unwrap();
+        histogram_session(full, ns)
+            .policy_label("P-stress")
+            .seed(41)
+            .budget(limit)
+            .durable(persistence)
+            .build()
+            .unwrap()
+    };
+    let mechanism = OsdpLaplaceL1::new(0.25).unwrap();
+    let before_restart = {
+        let session = durable();
+        let wal = session.persistence().unwrap();
+        for _ in 0..4 {
+            session.release(&SessionQuery::bound(), &mechanism).unwrap();
+        }
+        wal.snapshot().unwrap();
+        for _ in 0..2 {
+            session.release(&SessionQuery::bound(), &mechanism).unwrap();
+        }
+        wal.sync().unwrap();
+        session.accountant().total_spent_units()
+    };
+    let session = Arc::new(durable());
+    assert_eq!(session.accountant().total_spent_units(), before_restart);
+    assert_eq!(session.audit_total_epsilon_units(), before_restart, "base and tail both count");
+    hammer_to_the_cap_and_check_totals(&session, limit);
+    assert!(session.audit_len() > 6);
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn removed_tenants_keep_absorbing_in_flight_releases() {
     // SessionPool::remove while releases are in flight: the stragglers

@@ -3,12 +3,13 @@
 //!
 //! A counting global allocator tallies heap allocations **per thread**, so
 //! the libtest harness and concurrently running tests never pollute the
-//! count. After warm-up (the interned stream label, the thread's audit
-//! shard and its key for the release's tuple, the mechanism's per-thread
-//! scratch), one `release` on an in-memory
-//! histogram session may allocate only what its output needs: the
-//! estimate buffer and the two `String`s of the returned `Release`. The
-//! budget debit, audit stamp and RNG stream set-up allocate nothing.
+//! count. After warm-up (the thread's audit shard and its key for the
+//! release's tuple, the mechanism's per-thread scratch), one `release` on
+//! an in-memory histogram session may allocate only what its output needs:
+//! the estimate buffer and the two `String`s of the returned `Release`. The
+//! budget debit, audit stamp and RNG stream set-up allocate nothing. A
+//! durable session whose WAL buffers its frames (`EveryN`) keeps that
+//! budget: the grant frame is encoded and mirrored from borrowed labels.
 //!
 //! Recovering a tail decodes, mirrors and audits every frame, but frames
 //! that repeat the previous frame's labels share them, so the allocations
@@ -96,6 +97,42 @@ fn a_warm_release_allocates_only_its_output() {
         "a warm release should allocate only its estimate and its two label strings"
     );
     assert_eq!(session.audit_len(), 101);
+}
+
+#[test]
+fn a_warm_buffered_durable_release_allocates_only_its_output() {
+    let dir = std::env::temp_dir().join(format!("osdp-grant-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let bins = 32;
+    let full = Histogram::from_counts((0..bins).map(|i| 100.0 + i as f64).collect());
+    let non_sensitive = Histogram::from_counts((0..bins).map(|i| (i % 7) as f64).collect());
+    // Flushed every 8 frames, so the measured (101st) grant is buffered
+    // into a pending buffer whose capacity the warm-up has settled.
+    let persistence = SessionPersistence::open(&dir, SyncPolicy::EveryN(8)).unwrap();
+    let session = histogram_session(full, non_sensitive)
+        .policy_label("P-durable")
+        .seed(11)
+        .durable(persistence)
+        .build()
+        .unwrap();
+    let mechanism = OsdpLaplaceL1::new(0.01).unwrap();
+    let query = SessionQuery::bound();
+
+    for _ in 0..100 {
+        session.release(&query, &mechanism).unwrap();
+    }
+    let before = allocations();
+    let release = session.release(&query, &mechanism).unwrap();
+    let spent = allocations() - before;
+    drop(release);
+
+    assert_eq!(
+        spent, OUTPUT_ALLOCATIONS,
+        "a warm durable release should allocate only its estimate and its two label strings"
+    );
+    assert_eq!(session.persistence().unwrap().counters().grants, 101);
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Writes a clean shard at `dir` whose WAL holds `frames` grants that all
