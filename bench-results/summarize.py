@@ -73,6 +73,12 @@ ENTRIES = [
         "dir": "shared-tenant-grant",
         "claimed": {"grant-inmem": ["rel_per_s"]},
     },
+    {
+        "entry": 20,
+        "change": "One WAL append path for every sync policy; the group-commit committer thread deleted (no gain claimed)",
+        "dir": "one-append-path",
+        "claimed": {},
+    },
 ]
 
 

@@ -45,7 +45,8 @@ pub enum PersistOp {
     Rename,
     /// Removing a file.
     Remove,
-    /// The group-commit path: submitting to, or waiting on, the committer.
+    /// A ledger-level failure that is no single file operation: a crashed
+    /// writer, or a ledger closed because a thread panicked holding its lock.
     Commit,
 }
 
@@ -75,7 +76,7 @@ pub struct PersistError {
     /// The operation that failed.
     pub op: PersistOp,
     /// The file or directory involved (may be empty for handle-level
-    /// failures such as a dead committer).
+    /// failures such as a crashed writer or a poisoned ledger lock).
     pub path: String,
     /// Whether retrying the same handle can help.
     pub class: FaultClass,

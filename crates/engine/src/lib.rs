@@ -353,28 +353,21 @@
 //!
 //! * **Sync-policy trade-offs** ([`SyncPolicy`]): `Always` fsyncs before
 //!   the grant call returns — a release is durable before its sample
-//!   exists, at one fsync per grant. `EveryN(n)` amortizes the fsync; a
-//!   crash loses at most the last `n − 1` grants, so the recovered total
-//!   *under*-counts. That is **not** a safe direction: the lost frames'
-//!   samples were already released before the crash, so the recovered
-//!   session reports less spent ε than was released and grants the
-//!   difference again, and the tenant's lifetime release can exceed its
-//!   cap. Tests and bulk loads that want no fsync until an explicit
-//!   `sync` or drop use `EveryN(u32::MAX)`, with the same hole for every
-//!   grant since the last sync. Making `EveryN` sound (budget leases) is
-//!   open item 1 in `ROADMAP.md`.
-//!   `GroupCommit` ([`SyncPolicy::group_commit`]) keeps the `Always`
-//!   guarantee — every grant call returns only after **its own** frame is
-//!   fsync'd, still before any noise is sampled — but routes frames
-//!   through a per-tenant committer thread that commits whole batches
-//!   with one vectored write + one fsync, so `k` concurrent grantors pay
-//!   ~one fsync per batch instead of one each. This is the policy that
-//!   reconciles the concurrent serving plane with `Always`-grade
-//!   durability: all five grant paths (`release`, `release_task`, trials,
-//!   pool routing, record logging) ride it with no API change, and a
-//!   crash mid-batch loses only grants whose call never returned — the
-//!   recovery format and the torn-tail truncation rule are the same as for
-//!   the other policies.
+//!   exists. Concurrent grantors share fsyncs: grants that queue while
+//!   one grant's fsync is in flight are written and fsync'd together by
+//!   the next (group commit on the ledger's own locks, no committer
+//!   thread), so `k` concurrent grantors pay about one fsync per batch,
+//!   and a crash mid-batch loses only grants whose call never returned.
+//!   [`SyncPolicy::group_commit`] is `Always`. `EveryN(n)` amortizes the
+//!   fsync; a crash loses at most the last `n − 1` grants, so the
+//!   recovered total *under*-counts. That is **not** a safe direction:
+//!   the lost frames' samples were already released before the crash, so
+//!   the recovered session reports less spent ε than was released and
+//!   grants the difference again, and the tenant's lifetime release can
+//!   exceed its cap. Tests and bulk loads that want no fsync until an
+//!   explicit `sync` or drop use `EveryN(u32::MAX)`, with the same hole
+//!   for every grant since the last sync. Making `EveryN` sound (budget
+//!   leases) is open item 1 in `ROADMAP.md`.
 //! * **Single-writer-per-tenant.** Each tenant shard directory holds a
 //!   `LOCK` file created with `O_EXCL`; a second concurrent opener is
 //!   refused. A crash leaves the `LOCK` behind by design — reopening after

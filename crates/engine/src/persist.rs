@@ -86,8 +86,8 @@ impl SessionWal {
     /// audit log accumulated, so replaying the stored integer reconstructs
     /// both counters exactly.
     ///
-    /// The labels are lent to the ledger, which copies them only to hand a
-    /// group-commit frame to its committer thread.
+    /// The labels are only lent to the ledger, which encodes and mirrors
+    /// them without copying under every sync policy.
     pub fn log_grant(&self, event: GrantEvent<'_>) -> Result<()> {
         let total_epsilon = event.guarantee.epsilon() * event.trials as f64;
         self.ledger.append_grant(GrantRef {
@@ -167,8 +167,8 @@ impl SessionWal {
         self.ledger.counters()
     }
 
-    /// Group-commit observability counters (all zero for the buffered sync
-    /// policies): submitted frames, the durable watermark, batches, and the
+    /// How this shard's frames reached the disk, for every sync policy:
+    /// submitted frames, the durable watermark, flushes (batches), and the
     /// largest batch — `durable_frames / batches` is the realized fsync
     /// amortization factor.
     pub fn group_commit_stats(&self) -> GroupCommitStats {

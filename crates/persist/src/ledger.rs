@@ -34,20 +34,27 @@
 //! usable header (written in place: it holds no frame) or a stale
 //! generation (replaced as rotation does) is rewritten.
 //!
-//! ## Write paths
+//! ## Write path
 //!
-//! The buffered policies (`Always`, `EveryN`) append under the
-//! inner mutex: encode into the writer's reused buffers, flush per policy.
-//! [`SyncPolicy::GroupCommit`] appends **lock-free**: the appender encodes
-//! its frame, hands it to the per-ledger committer thread
-//! ([`crate::committer`]), and blocks until the committer's batched
-//! write + single fsync makes it durable — so the per-grant durability
-//! contract of `Always` holds while the fsync cost is amortized across
-//! every frame in the batch.
+//! Every sync policy appends the same way, through two locks always taken
+//! in one order, `io` then `log`:
+//!
+//! * An appender takes the short `log` lock, applies its record to the
+//!   snapshot mirror, encodes its frame onto a queue (one buffer reused
+//!   across appends) and takes a ticket, the frame's position in the log.
+//! * When its policy wants the frame durable now (`Always`, or `EveryN(n)`
+//!   once `n` frames are unsynced), it takes the `io` lock. If a flush made
+//!   while it waited already covered its ticket, it returns at once.
+//!   Otherwise it leads: it moves every queued frame into the writer and
+//!   makes one write and one fsync for all of them.
+//!
+//! The leader holds `log` only to move the queue and, after the fsync, to
+//! take back the flushed buffer, so appenders keep queueing while its
+//! fsync is in flight, and the next leader makes them durable together. Concurrent `Always` appenders thus share fsyncs
+//! (group commit) without a committer thread, and a lone appender makes one
+//! write and one fsync per append. Rotation, [`TenantLedger::sync`] and
+//! [`TenantLedger::crash`] take both locks and drain the queue first.
 
-use crate::committer::{
-    spawn, CommitterHandle, FrameSubmission, GroupCommitStats, GroupCounters, Submission, Waiter,
-};
 use crate::record::{
     EpochRecord, GrantRecord, GrantRef, RecordRef, RefusalRecord, SnapshotCounters, WalRecord,
 };
@@ -57,9 +64,8 @@ use crate::wal::{encode_frame_into, replay_each, RetryPolicy, SyncPolicy, WalWri
 use osdp_core::error::{FaultClass, OsdpError, PersistError, PersistOp, Result};
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Magic header of `wal.log`.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"OSDPWAL1";
@@ -77,7 +83,7 @@ pub(crate) const SNAPSHOT_PREV_FILE: &str = "snapshot.prev";
 pub(crate) const LOCK_FILE: &str = "LOCK";
 
 /// The error every operation returns after [`TenantLedger::crash`].
-pub(crate) const CRASHED_MSG: &str = "ledger writer has crashed (simulated)";
+const CRASHED_MSG: &str = "ledger writer has crashed (simulated)";
 
 /// Maps an io error into the workspace error type with context (logical
 /// failures; typed IO faults go through [`pe`]).
@@ -92,13 +98,8 @@ fn pe(op: PersistOp, path: &Path, err: &std::io::Error) -> OsdpError {
 
 /// The crashed-ledger error (typed: permanent, nothing on this handle can
 /// succeed again).
-pub(crate) fn crashed_persist() -> PersistError {
-    PersistError::new(PersistOp::Commit, "", FaultClass::Permanent, CRASHED_MSG)
-}
-
-/// The crashed-ledger error as a workspace error.
 fn crashed_err() -> OsdpError {
-    OsdpError::Persist(crashed_persist())
+    OsdpError::Persist(PersistError::new(PersistOp::Commit, "", FaultClass::Permanent, CRASHED_MSG))
 }
 
 /// This boot's identity token, recorded in `LOCK` files so a later open can
@@ -341,7 +342,7 @@ impl RecoveredLedger {
 }
 
 /// Tuning knobs of [`TenantLedger::open_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LedgerOptions {
     /// Rotate a fresh snapshot automatically once this many frames have
     /// been appended since the last rotation, bounding recovery replay to
@@ -353,76 +354,128 @@ pub struct LedgerOptions {
     /// [`RetryPolicy`]). Fsync failures are never retried regardless of
     /// this setting.
     pub retry: RetryPolicy,
-    /// Upper bound on how long one group-commit append blocks waiting for
-    /// the committer to make its frame durable (30 s by default —
-    /// effectively "committer is wedged", far above any healthy fsync).
-    /// On expiry the append returns a typed *transient* timeout error; the
-    /// frame **may still commit later**, so callers must treat the grant as
-    /// refused while leaving its ε conservatively spent — the fail-closed
-    /// direction. Irrelevant to the buffered policies.
-    pub commit_deadline: Duration,
 }
 
-impl Default for LedgerOptions {
-    fn default() -> Self {
-        Self {
-            auto_snapshot_every: None,
-            retry: RetryPolicy::default(),
-            commit_deadline: Duration::from_secs(30),
+/// How a ledger's frames reached the disk, counted for every sync policy:
+/// frames appended, frames made durable, and the flushes (one write and
+/// one fsync each) that made them durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GroupCommitStats {
+    /// Frames appended: grants, refusals and epoch transitions.
+    pub submitted_frames: u64,
+    /// The durable watermark: frames written **and fsync'd**. Under
+    /// `Always` it equals `submitted_frames` whenever no append is in
+    /// flight, because every append waits until its frame is below it.
+    pub durable_frames: u64,
+    /// Flushes that made frames durable; `durable_frames / batches` is the
+    /// frames per fsync.
+    pub batches: u64,
+    /// The most frames one flush made durable.
+    pub largest_batch: u64,
+}
+
+/// The atomic counters behind [`GroupCommitStats`]. `submitted` hands out
+/// tickets under `log`, and `durable`, the watermark, advances under `io`
+/// (stored with `Release` after the fsync, loaded with `Acquire`), so the
+/// locks order every read a flush depends on; the atomics let the stats
+/// and `EveryN`'s flush trigger read them without a lock.
+#[derive(Debug, Default)]
+struct Counters {
+    submitted: AtomicU64,
+    durable: AtomicU64,
+    batches: AtomicU64,
+    largest: AtomicU64,
+}
+
+/// The append side of a ledger, behind its `log` lock.
+#[derive(Debug)]
+struct Log {
+    /// The snapshot-consistent mirror of everything appended so far.
+    mirror: MirrorState,
+    /// Frames encoded but not yet moved into the writer.
+    queue: Vec<u8>,
+    /// Reused payload encode buffer.
+    scratch: Vec<u8>,
+    /// Frames appended since the last snapshot rotation (drives
+    /// [`LedgerOptions::auto_snapshot_every`]).
+    frames_since_rotation: u64,
+    /// Set by [`TenantLedger::crash`]: every later operation fails, drop
+    /// flushes nothing and leaves the `LOCK` file behind.
+    crashed: bool,
+    /// Why the ledger refuses every operation until it is reopened: the
+    /// writer's poison, or a lock a panicking thread poisoned.
+    failed: Option<PersistError>,
+}
+
+impl Log {
+    /// Fails once the ledger has crashed or failed.
+    fn ensure_open(&self) -> Result<()> {
+        if self.crashed {
+            return Err(crashed_err());
+        }
+        match &self.failed {
+            Some(err) => Err(OsdpError::Persist(err.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Moves every queued frame into the writer's pending bytes (by
+    /// swapping buffers when nothing is pending).
+    fn drain_into(&mut self, writer: &mut WalWriter) {
+        let pending = writer.pending_mut();
+        if pending.is_empty() {
+            std::mem::swap(pending, &mut self.queue);
+        } else {
+            pending.extend_from_slice(&self.queue);
+            self.queue.clear();
+        }
+    }
+
+    /// Runs after a flush or a WAL replacement. A poisoned writer closes
+    /// the ledger, so no later append is acknowledged, buffered or not.
+    /// Otherwise, when nothing was queued meanwhile, the flushed buffer
+    /// becomes the queue again, so a lone appender keeps one buffer of
+    /// frames rather than two.
+    fn settle(&mut self, writer: &mut WalWriter) {
+        if let Err(err) = writer.ensure_usable() {
+            self.failed.get_or_insert(err);
+        } else if self.queue.is_empty() && writer.pending().is_empty() {
+            std::mem::swap(&mut self.queue, writer.pending_mut());
         }
     }
 }
 
-/// The writer state behind the ledger's mutex.
-#[derive(Debug)]
-pub(crate) struct Inner {
-    /// The WAL file + pending frames + reused encode buffers.
-    pub(crate) writer: WalWriter,
-    /// Appends since the last fsync (drives [`SyncPolicy::EveryN`]).
-    unsynced: u32,
-    /// The snapshot-consistent mirror of everything logged so far (under
-    /// group commit: everything *committed* so far).
-    pub(crate) mirror: MirrorState,
-    /// Set by [`TenantLedger::crash`]: every later operation fails, drop
-    /// flushes nothing and leaves the `LOCK` file behind.
-    pub(crate) crashed: bool,
-    /// Frames appended since the last snapshot rotation (drives
-    /// [`LedgerOptions::auto_snapshot_every`]).
-    pub(crate) frames_since_rotation: u64,
-}
-
-/// The state shared between the ledger handle and its committer thread.
-#[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) dir: PathBuf,
-    /// The file-system this shard does all its IO through.
-    pub(crate) vfs: Arc<dyn Vfs>,
-    pub(crate) inner: Mutex<Inner>,
-    /// Raised by crash or a fatal committer error; lets blocked group
-    /// appenders give up without taking the inner lock.
-    pub(crate) poisoned: AtomicBool,
-    /// The fatal committer error, if any (None after a plain crash).
-    pub(crate) group_error: Mutex<Option<PersistError>>,
-    /// Group-commit observability counters (all zero otherwise).
-    pub(crate) counters: GroupCounters,
-    /// The open-time options (auto-snapshot threshold, retry policy,
-    /// commit deadline).
-    pub(crate) options: LedgerOptions,
-}
-
-/// Whether the auto-snapshot threshold is due.
-pub(crate) fn auto_rotate_due(shared: &Shared, inner: &Inner) -> bool {
-    shared.options.auto_snapshot_every.is_some_and(|n| inner.frames_since_rotation >= n.max(1))
+/// Closes the ledger after a thread panicked holding one of its locks: the
+/// state behind that lock may be half updated, so nothing is trusted to
+/// reach the disk until the shard is reopened and recovered.
+fn close_on_panic(log: &mut Log) -> OsdpError {
+    let err = log.failed.get_or_insert_with(|| {
+        PersistError::new(
+            PersistOp::Commit,
+            "",
+            FaultClass::Permanent,
+            "a thread panicked while holding the ledger lock; the ledger is closed (reopen it \
+             to recover)",
+        )
+    });
+    OsdpError::Persist(err.clone())
 }
 
 /// A single-writer, append-only durable ledger for one tenant shard (see
-/// the module docs for the file layout and crash-consistency argument).
+/// the module docs for the file layout, the crash-consistency argument and
+/// the write path).
 #[derive(Debug)]
 pub struct TenantLedger {
-    shared: Arc<Shared>,
+    dir: PathBuf,
+    /// The file system this shard does all its IO through.
+    vfs: Arc<dyn Vfs>,
     sync: SyncPolicy,
-    /// The group-commit committer, spawned lazily on the first append.
-    committer: OnceLock<CommitterHandle>,
+    options: LedgerOptions,
+    /// The WAL writer, held by a leader for its write and fsync. Taken
+    /// before `log`.
+    io: Mutex<WalWriter>,
+    log: Mutex<Log>,
+    counters: Counters,
 }
 
 impl TenantLedger {
@@ -507,23 +560,20 @@ impl TenantLedger {
         // "recovery replays ≤ N frames" holds across reopen chains too.
         let frames_since_rotation = (recovered.grants.len() + recovered.refusals.len()) as u64;
         let ledger = Self {
-            shared: Arc::new(Shared {
-                dir: dir.to_path_buf(),
-                vfs,
-                inner: Mutex::new(Inner {
-                    writer,
-                    unsynced: 0,
-                    mirror,
-                    crashed: false,
-                    frames_since_rotation,
-                }),
-                poisoned: AtomicBool::new(false),
-                group_error: Mutex::new(None),
-                counters: GroupCounters::default(),
-                options,
-            }),
+            dir: dir.to_path_buf(),
+            vfs,
             sync,
-            committer: OnceLock::new(),
+            options,
+            io: Mutex::new(writer),
+            log: Mutex::new(Log {
+                mirror,
+                queue: Vec::new(),
+                scratch: Vec::new(),
+                frames_since_rotation,
+                crashed: false,
+                failed: None,
+            }),
+            counters: Counters::default(),
         };
         Ok((ledger, recovered))
     }
@@ -547,13 +597,12 @@ impl TenantLedger {
     /// while the ledger is serving: a racing append shows up as (at most) a
     /// benign torn-tail warning.
     pub fn scrub(&self) -> Result<crate::scrub::ScrubReport> {
-        crate::scrub::scrub_shard(self.shared.vfs.as_ref(), &self.shared.dir)
-            .map_err(OsdpError::Persist)
+        crate::scrub::scrub_shard(self.vfs.as_ref(), &self.dir).map_err(OsdpError::Persist)
     }
 
     /// The shard directory.
     pub fn dir(&self) -> &Path {
-        &self.shared.dir
+        &self.dir
     }
 
     /// The configured sync policy.
@@ -564,20 +613,24 @@ impl TenantLedger {
     /// The counters a snapshot taken now would contain — the mirror of
     /// everything logged so far (logged state, not live session state).
     pub fn counters(&self) -> SnapshotCounters {
-        self.shared.inner.lock().expect("ledger lock").mirror.counters
+        self.log.lock().unwrap_or_else(PoisonError::into_inner).mirror.counters
     }
 
-    /// Group-commit observability: submitted frames, the durable-frame
-    /// watermark, batches committed, largest batch. All zero for the other
-    /// sync policies.
+    /// How this ledger's frames reached the disk: frames appended, the
+    /// durable-frame watermark, flushes, and the largest flush.
     pub fn group_commit_stats(&self) -> GroupCommitStats {
-        self.shared.counters.snapshot()
+        let counters = &self.counters;
+        GroupCommitStats {
+            submitted_frames: counters.submitted.load(Ordering::Relaxed),
+            durable_frames: self.durable(),
+            batches: counters.batches.load(Ordering::Relaxed),
+            largest_batch: counters.largest.load(Ordering::Relaxed),
+        }
     }
 
     /// Appends one grant record, durable per the sync policy before return.
-    /// Takes a [`GrantRef`] or a `&GrantRecord`; under `Always` and
-    /// `EveryN` the labels are only borrowed, so a warm append allocates
-    /// nothing.
+    /// Takes a [`GrantRef`] or a `&GrantRecord`; the labels are only
+    /// borrowed, so a warm append allocates nothing.
     pub fn append_grant<'a>(&self, grant: impl Into<GrantRef<'a>>) -> Result<()> {
         self.append(RecordRef::Grant(grant.into()))
     }
@@ -592,246 +645,214 @@ impl TenantLedger {
         self.append(RecordRef::Epoch(transition))
     }
 
+    /// The one append path (see the module docs).
     fn append(&self, record: RecordRef<'_>) -> Result<()> {
-        if let SyncPolicy::GroupCommit { max_batch, max_wait } = self.sync {
-            return self.append_group(record, max_batch, max_wait);
-        }
-        let mut inner = self.shared.inner.lock().expect("ledger lock");
-        if inner.crashed {
-            return Err(crashed_err());
-        }
-        // A poisoned writer refuses before anything is buffered, even when
-        // the sync policy would not flush this append.
-        inner.writer.ensure_usable()?;
-        match record {
-            RecordRef::Grant(g) => inner.mirror.apply_grant(g),
-            RecordRef::Refusal(_) => inner.mirror.apply_refusal(),
-            RecordRef::Epoch(t) => inner.mirror.apply_transition(t),
-            RecordRef::Marker { .. } => unreachable!("markers are written by rotation"),
-        }
-        inner.writer.buffer_record(record);
-        inner.unsynced += 1;
-        inner.frames_since_rotation += 1;
+        let (ticket, rotate) = {
+            let mut log = self.lock_log()?;
+            // A crashed or poisoned ledger refuses before anything is
+            // queued, even when the sync policy would not flush this append.
+            log.ensure_open()?;
+            match record {
+                RecordRef::Grant(g) => log.mirror.apply_grant(g),
+                RecordRef::Refusal(_) => log.mirror.apply_refusal(),
+                RecordRef::Epoch(t) => log.mirror.apply_transition(t),
+                RecordRef::Marker { .. } => unreachable!("markers are written by rotation"),
+            }
+            let Log { queue, scratch, .. } = &mut *log;
+            encode_frame_into(queue, scratch, record);
+            log.frames_since_rotation += 1;
+            let ticket = self.counters.submitted.fetch_add(1, Ordering::Relaxed) + 1;
+            (ticket, self.auto_rotate_due(&log))
+        };
         let flush = match self.sync {
             SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => inner.unsynced >= n.max(1),
-            SyncPolicy::GroupCommit { .. } => unreachable!("handled above"),
+            SyncPolicy::EveryN(n) => ticket.saturating_sub(self.durable()) >= u64::from(n.max(1)),
         };
-        if flush {
-            flush_inner(&mut inner)?;
+        if !flush && !rotate {
+            return Ok(());
         }
-        if auto_rotate_due(&self.shared, &inner) {
-            rotate_locked(&self.shared, &mut inner)?;
+        let mut writer = self.lock_io()?;
+        // An earlier leader's fsync may already cover this ticket.
+        if flush && self.durable() < ticket {
+            self.lead(&mut writer)?;
+        }
+        if rotate {
+            let mut log = self.lock_log()?;
+            if self.auto_rotate_due(&log) {
+                self.rotate_locked(&mut writer, &mut log)?;
+            }
         }
         Ok(())
     }
 
-    /// The group-commit append path: encode lock-free, submit, block until
-    /// the committer's batched fsync covers this frame.
-    fn append_group(
-        &self,
-        record: RecordRef<'_>,
-        max_batch: u32,
-        max_wait: std::time::Duration,
-    ) -> Result<()> {
-        if self.shared.poisoned.load(Ordering::Acquire) {
-            return Err(self.group_failure());
-        }
-        let handle = self.committer.get_or_init(|| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let join = spawn(Arc::clone(&self.shared), rx, max_batch as usize, max_wait);
-            CommitterHandle { tx, join: Mutex::new(Some(join)) }
-        });
-        // Encode the frame outside any lock. The frame buffer must be owned
-        // (it crosses threads); the payload scratch is thread-local and
-        // reused across appends.
-        std::thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        let mut bytes = Vec::with_capacity(192);
-        SCRATCH.with(|s| encode_frame_into(&mut bytes, &mut s.borrow_mut(), record));
-        // A fresh waiter per submission: a reused waiter could be settled by
-        // a stale in-flight submission after this appender's deadline fires.
-        let waiter = Arc::new(Waiter::new());
-        let submission = Submission::Frame(FrameSubmission::new(
-            bytes,
-            record.to_owned_record(),
-            Arc::clone(&waiter),
-            Arc::clone(&self.shared),
-        ));
-        if handle.tx.send(submission).is_err() {
-            // The committer exited (crash or fatal IO error) — refuse.
-            // (The undelivered submission's drop guard settles the waiter,
-            // but we already know the failure here.)
-            return Err(self.group_failure());
-        }
-        self.shared.counters.count_submission();
-        waiter.wait(self.shared.options.commit_deadline).map_err(OsdpError::from)
-    }
-
-    /// The error group appends report once the ledger is poisoned.
-    fn group_failure(&self) -> OsdpError {
-        match self.shared.group_error.lock().expect("group error lock").clone() {
-            Some(err) => OsdpError::Persist(err),
-            None => crashed_err(),
-        }
-    }
-
-    /// Flushes and fsyncs every buffered frame, regardless of policy. Under
-    /// group commit this is a no-op barrier: every append that has returned
-    /// is already durable (that is the policy's contract), and in-flight
-    /// appends on other threads have made no promise to this caller yet.
+    /// Flushes and fsyncs every queued frame, regardless of policy.
     pub fn sync(&self) -> Result<()> {
-        if matches!(self.sync, SyncPolicy::GroupCommit { .. }) {
-            if self.shared.poisoned.load(Ordering::Acquire) {
-                return Err(self.group_failure());
-            }
-            let crashed = self.shared.inner.lock().expect("ledger lock").crashed;
-            return if crashed { Err(crashed_err()) } else { Ok(()) };
-        }
-        let mut inner = self.shared.inner.lock().expect("ledger lock");
-        if inner.crashed {
-            return Err(crashed_err());
-        }
-        flush_inner(&mut inner)
+        self.lead(&mut *self.lock_io()?)
     }
 
     /// Rotates the shard: collapses the logged history into a new snapshot
     /// generation and resets the WAL to `header + marker`. See the module
     /// docs for why each crash point in this sequence recovers cleanly.
-    /// Under group commit the inner lock serializes this against batch
-    /// commits; frames still queued commit *after* the rotation, into the
-    /// new generation, which recovery replays as the tail.
     pub fn rotate_snapshot(&self) -> Result<()> {
-        let mut inner = self.shared.inner.lock().expect("ledger lock");
-        if inner.crashed {
-            return Err(crashed_err());
-        }
-        rotate_locked(&self.shared, &mut inner)
+        let mut writer = self.lock_io()?;
+        let mut log = self.lock_log()?;
+        self.rotate_locked(&mut writer, &mut log)
     }
 
     /// **Crash simulation**: drops the writer as an abrupt process death
-    /// would. Buffered frames are lost; a `keep_fraction` in `(0, 1]`
-    /// additionally writes that fraction of the buffered *bytes* first —
-    /// a torn frame mid-write, exercising the CRC truncation path. Under
-    /// group commit the crash severs **mid-batch**: the committer is
-    /// stopped, every frame still queued (its appender blocked, its grant
-    /// not yet acknowledged) joins the pending buffer, and `keep_fraction`
-    /// applies to those bytes — frames whose append already *returned* were
-    /// fsync'd and survive in full, which is exactly the `Always`-grade
-    /// guarantee. The `LOCK` file is deliberately left behind (a dead
-    /// process releases nothing), so reopening requires [`force_unlock`],
-    /// same as after a real `kill -9`. Every later operation on this ledger
-    /// fails.
+    /// would. Queued and pending frames are lost; a `keep_fraction` in
+    /// `(0, 1]` additionally writes that fraction of their *bytes* first —
+    /// a torn frame mid-write, exercising the CRC truncation path. With
+    /// concurrent appenders the crash severs **mid-batch**: frames whose
+    /// appenders are still waiting for a flush (their grants not yet
+    /// acknowledged) are among those bytes, while a frame whose `Always`
+    /// append already *returned* was fsync'd and survives in full. The
+    /// `LOCK` file is deliberately left behind (a dead process releases
+    /// nothing), so reopening requires [`force_unlock`], same as after a
+    /// real `kill -9`. Every later operation on this ledger fails.
     ///
     /// What this does **not** simulate: loss of OS-buffered writes that
     /// were never fsync'd (the file system keeps what `write(2)` accepted,
     /// a powered-off machine may not), and torn *sector* writes inside
     /// fsync'd data. Those need a real `kill -9` / power-cut harness.
     pub fn crash(&self, keep_fraction: f64) -> Result<()> {
-        {
-            let mut inner = self.shared.inner.lock().expect("ledger lock");
-            if inner.crashed {
-                return Ok(());
-            }
-            inner.crashed = true;
+        let mut writer = self.lock_io()?;
+        let mut log = self.lock_log()?;
+        if log.crashed {
+            return Ok(());
         }
-        self.shared.poisoned.store(true, Ordering::Release);
-        // Stop the committer (if group commit ever spawned one): it stashes
-        // every queued frame into the pending buffer and fails the blocked
-        // appenders, then exits; joining makes the stash visible below.
-        if let Some(handle) = self.committer.get() {
-            let _ = handle.tx.send(Submission::Nudge);
-            if let Some(join) = handle.join.lock().expect("committer join lock").take() {
-                let _ = join.join();
-            }
-        }
-        let mut inner = self.shared.inner.lock().expect("ledger lock");
-        let keep = (inner.writer.pending().len() as f64 * keep_fraction.clamp(0.0, 1.0)) as usize;
+        log.crashed = true;
+        log.drain_into(&mut writer);
+        let keep = (writer.pending().len() as f64 * keep_fraction.clamp(0.0, 1.0)) as usize;
         if keep > 0 {
-            let torn: Vec<u8> = inner.writer.pending()[..keep].to_vec();
-            inner.writer.file_mut().write_all(&torn).map_err(|e| io_err("writing torn tail", e))?;
+            let torn: Vec<u8> = writer.pending()[..keep].to_vec();
+            writer.file_mut().write_all(&torn).map_err(|e| io_err("writing torn tail", e))?;
         }
-        inner.writer.pending_mut().clear();
+        writer.pending_mut().clear();
         Ok(())
     }
 
     /// Whether [`TenantLedger::crash`] has been called.
     pub fn is_crashed(&self) -> bool {
-        self.shared.inner.lock().expect("ledger lock").crashed
+        self.log.lock().unwrap_or_else(PoisonError::into_inner).crashed
+    }
+
+    /// The durable watermark: every ticket at or below it is fsync'd.
+    fn durable(&self) -> u64 {
+        self.counters.durable.load(Ordering::Acquire)
+    }
+
+    /// Whether the auto-snapshot threshold is due.
+    fn auto_rotate_due(&self, log: &Log) -> bool {
+        self.options.auto_snapshot_every.is_some_and(|n| log.frames_since_rotation >= n.max(1))
+    }
+
+    /// Takes the `log` lock; a lock poisoned by a panic closes the ledger.
+    fn lock_log(&self) -> Result<MutexGuard<'_, Log>> {
+        self.log.lock().map_err(|poisoned| close_on_panic(&mut poisoned.into_inner()))
+    }
+
+    /// Takes the `io` lock; a lock poisoned by a panic closes the ledger.
+    fn lock_io(&self) -> Result<MutexGuard<'_, WalWriter>> {
+        self.io.lock().map_err(|_| {
+            close_on_panic(&mut self.log.lock().unwrap_or_else(PoisonError::into_inner))
+        })
+    }
+
+    /// Leads a flush: moves every queued frame into the writer and makes
+    /// one write and one fsync for all of them. The caller holds `io`;
+    /// `log` is held only to move the queue and to settle afterwards, so
+    /// appenders keep queueing during the fsync.
+    fn lead(&self, writer: &mut WalWriter) -> Result<()> {
+        let through = {
+            let mut log = self.lock_log()?;
+            log.ensure_open()?;
+            log.drain_into(writer);
+            self.counters.submitted.load(Ordering::Relaxed)
+        };
+        let flushed = self.commit(writer, through);
+        if let Ok(mut log) = self.lock_log() {
+            log.settle(writer);
+        }
+        flushed
+    }
+
+    /// Writes and fsyncs the writer's pending bytes, then advances the
+    /// watermark to `through`, the last ticket they hold, and counts the
+    /// flush. A failed write that does not poison the writer leaves the
+    /// frames pending for the next leader.
+    fn commit(&self, writer: &mut WalWriter, through: u64) -> Result<()> {
+        writer.flush_and_sync()?;
+        let before = self.counters.durable.fetch_max(through, Ordering::Release);
+        if through > before {
+            self.counters.batches.fetch_add(1, Ordering::Relaxed);
+            self.counters.largest.fetch_max(through - before, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// The rotation body, shared by [`TenantLedger::rotate_snapshot`] and
+    /// the auto-snapshot threshold on the append path. The caller holds
+    /// both locks.
+    fn rotate_locked(&self, writer: &mut WalWriter, log: &mut Log) -> Result<()> {
+        log.ensure_open()?;
+        // Queued frames go into the old WAL first: the snapshot below
+        // includes them, so they must not also land in the new WAL.
+        log.drain_into(writer);
+        let through = self.counters.submitted.load(Ordering::Relaxed);
+        let flushed = self.commit(writer, through);
+        log.settle(writer);
+        flushed?;
+        let generation = log.mirror.generation + 1;
+        let snapshot = log.mirror.to_snapshot(generation);
+        let vfs = self.vfs.as_ref();
+        // Temp + rename: a torn snapshot write never shadows the good one.
+        let tmp = self.dir.join("snapshot.tmp");
+        {
+            let mut f = vfs.create_truncate(&tmp).map_err(|e| pe(PersistOp::Open, &tmp, &e))?;
+            f.write_all(&snapshot.encode()).map_err(|e| pe(PersistOp::Write, &tmp, &e))?;
+            f.sync_data().map_err(|e| pe(PersistOp::Fsync, &tmp, &e))?;
+        }
+        let snap = self.dir.join(SNAPSHOT_FILE);
+        // Park the outgoing generation as snapshot.prev: it covers the crash
+        // window where snapshot.bin is briefly absent, and gives recovery a
+        // fallback should the new snapshot later prove corrupt.
+        match vfs.rename(&snap, &self.dir.join(SNAPSHOT_PREV_FILE)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {} // first rotation
+            Err(e) => return Err(pe(PersistOp::Rename, &snap, &e)),
+        }
+        vfs.rename(&tmp, &snap).map_err(|e| pe(PersistOp::Rename, &tmp, &e))?;
+        let _ = vfs.sync_dir(&self.dir);
+        log.mirror.generation = generation;
+        // Replace the WAL behind the new snapshot. Until the replacement lands,
+        // wal.log is the old file, at a generation below the snapshot's:
+        // recovery ignores its (now collapsed) grants instead of
+        // double-counting them, and keeps its transitions, which the snapshot
+        // does not carry. A failed replacement poisons the writer and closes
+        // the ledger.
+        let image = wal_image(&snapshot, &log.mirror.transitions);
+        writer.replace(vfs, &image).inspect_err(|_| log.settle(writer))?;
+        log.frames_since_rotation = 0;
+        Ok(())
     }
 }
 
 impl Drop for TenantLedger {
     fn drop(&mut self) {
-        // Retire the committer first: dropping the sender disconnects the
-        // channel, the committer drains and commits what little could
-        // remain, and the join makes that ordering visible. (After a crash
-        // the committer has already exited and the join slot is empty.)
-        if let Some(handle) = self.committer.take() {
-            let CommitterHandle { tx, join } = handle;
-            drop(tx);
-            if let Ok(Some(join)) = join.into_inner() {
-                let _ = join.join();
-            }
-        }
-        let Ok(mut inner) = self.shared.inner.lock() else {
+        // A lock poisoned by a panic releases nothing, like a crash.
+        let (Ok(writer), Ok(log)) = (self.io.get_mut(), self.log.get_mut()) else {
             return;
         };
-        if inner.crashed {
+        if log.crashed {
             // A crashed writer releases nothing: pending bytes are gone and
             // the LOCK file stays, exactly like a killed process.
             return;
         }
-        let _ = flush_inner(&mut inner);
-        let _ = self.shared.vfs.remove_file(&self.shared.dir.join(LOCK_FILE));
+        log.drain_into(writer);
+        let _ = writer.flush_and_sync();
+        let _ = self.vfs.remove_file(&self.dir.join(LOCK_FILE));
     }
-}
-
-/// Writes + fsyncs the pending buffer.
-fn flush_inner(inner: &mut Inner) -> Result<()> {
-    inner.writer.flush_and_sync().map_err(OsdpError::from)?;
-    inner.unsynced = 0;
-    Ok(())
-}
-
-/// The rotation body, shared by [`TenantLedger::rotate_snapshot`], the
-/// auto-snapshot threshold on the buffered append path, and the committer's
-/// post-batch auto-snapshot check (which already holds the inner lock).
-pub(crate) fn rotate_locked(shared: &Shared, inner: &mut Inner) -> Result<()> {
-    flush_inner(inner)?;
-    let generation = inner.mirror.generation + 1;
-    let snapshot = inner.mirror.to_snapshot(generation);
-    let vfs = shared.vfs.as_ref();
-    // Temp + rename: a torn snapshot write never shadows the good one.
-    let tmp = shared.dir.join("snapshot.tmp");
-    {
-        let mut f = vfs.create_truncate(&tmp).map_err(|e| pe(PersistOp::Open, &tmp, &e))?;
-        f.write_all(&snapshot.encode()).map_err(|e| pe(PersistOp::Write, &tmp, &e))?;
-        f.sync_data().map_err(|e| pe(PersistOp::Fsync, &tmp, &e))?;
-    }
-    let snap = shared.dir.join(SNAPSHOT_FILE);
-    // Park the outgoing generation as snapshot.prev: it covers the crash
-    // window where snapshot.bin is briefly absent, and gives recovery a
-    // fallback should the new snapshot later prove corrupt.
-    match vfs.rename(&snap, &shared.dir.join(SNAPSHOT_PREV_FILE)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {} // first rotation
-        Err(e) => return Err(pe(PersistOp::Rename, &snap, &e)),
-    }
-    vfs.rename(&tmp, &snap).map_err(|e| pe(PersistOp::Rename, &tmp, &e))?;
-    let _ = vfs.sync_dir(&shared.dir);
-    inner.mirror.generation = generation;
-    // Replace the WAL behind the new snapshot. Until the replacement lands,
-    // wal.log is the old file, at a generation below the snapshot's:
-    // recovery ignores its (now collapsed) grants instead of
-    // double-counting them, and keeps its transitions, which the snapshot
-    // does not carry. A failed replacement poisons the writer.
-    let image = wal_image(&snapshot, &inner.mirror.transitions);
-    inner.writer.replace(vfs, &image).map_err(OsdpError::from)?;
-    inner.unsynced = 0;
-    inner.frames_since_rotation = 0;
-    Ok(())
 }
 
 /// The bytes of a fresh `wal.log` continuing `base`: the header at the
@@ -1106,7 +1127,6 @@ mod tests {
     use super::*;
     use crate::record::GuaranteeTag;
     use crate::wal::append_record;
-    use std::time::Duration;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -1391,11 +1411,7 @@ mod tests {
     fn group_commit_crash_severs_mid_batch() {
         let dir = tmp_dir("group-crash");
         {
-            let (ledger, _) = TenantLedger::open(
-                &dir,
-                SyncPolicy::GroupCommit { max_batch: 8, max_wait: Duration::from_millis(1) },
-            )
-            .unwrap();
+            let (ledger, _) = TenantLedger::open(&dir, SyncPolicy::group_commit()).unwrap();
             for i in 0..4 {
                 ledger.append_grant(&grant(i, 100)).unwrap();
             }
@@ -1558,7 +1574,7 @@ mod tests {
             }
         }
         let peek = TenantLedger::peek(&dir).unwrap();
-        assert!(peek.base.generation >= 2, "the committer rotated at the threshold");
+        assert!(peek.base.generation >= 2, "the append path rotated at the threshold");
         assert!(peek.grants.len() as u64 <= 4);
         assert_eq!(peek.spent_units(), 1_000);
         assert_eq!(peek.audit_seq(), 10);

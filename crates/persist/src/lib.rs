@@ -28,9 +28,8 @@
 //!   aggregate rows.
 //! * [`ledger`] — [`TenantLedger`]: one directory per tenant shard holding
 //!   `wal.log` + `snapshot.bin` + `LOCK`, with configurable [`SyncPolicy`]
-//!   and a crash-simulation hook.
-//! * [`committer`] — the group-commit committer thread: drains concurrent
-//!   submissions into one vectored write + one fsync per batch.
+//!   and a crash-simulation hook. Its one append path batches concurrent
+//!   appenders into one write + one fsync on the ledger's own two locks.
 //! * [`vfs`] — the file-system seam every byte of ledger IO flows through:
 //!   [`StdVfs`] for production and [`FaultVfs`], a deterministic seeded
 //!   fault injector (fail-on-nth-op, windowed fault storms, torn writes,
@@ -53,10 +52,12 @@
 //! re-fsyncs a descriptor whose fsync already failed. A snapshot rotation
 //! replaces the WAL by writing the new one to `wal.log.tmp` and renaming it
 //! into place; if any step fails the handle is poisoned too, so no grant is
-//! acknowledged into a WAL that recovery would ignore. A corrupt snapshot is
-//! quarantined as `snapshot.corrupt-<gen>` with fallback to the parked
-//! prior generation (`snapshot.prev`) or the WAL marker, all surfaced in a
-//! [`RecoveryReport`].
+//! acknowledged into a WAL that recovery would ignore. A thread that
+//! panics while holding one of a ledger's locks closes the ledger the same
+//! way: every later operation returns a typed permanent error. A corrupt
+//! snapshot is quarantined as `snapshot.corrupt-<gen>` with fallback to the
+//! parked prior generation (`snapshot.prev`) or the WAL marker, all
+//! surfaced in a [`RecoveryReport`].
 //!
 //! ## Durability contract
 //!
@@ -83,20 +84,18 @@
 //! samples were already released, so recovery under-counts spent ε (open
 //! item 1 in `ROADMAP.md`).
 //!
-//! [`SyncPolicy::GroupCommit`] keeps the `Always` guarantee — an append
-//! returns only after its own frame is fsync'd — but amortizes the fsync:
-//! appenders submit encoded frames to a per-ledger committer thread that
-//! commits whole batches with one vectored write + one `fdatasync`. With
-//! `k` concurrent grantors, throughput approaches `k` grants per fsync
-//! (natural batching: frames queued behind the in-flight fsync ride the
-//! next batch), while a crash still loses **only frames whose append never
-//! returned** — a mid-batch sever leaves a torn tail that recovery
-//! truncates, same as any torn frame.
+//! Concurrent appenders share fsyncs under every policy. While one
+//! appender writes and fsyncs, the others encode their frames onto the
+//! ledger's queue; the next one to take the writer flushes them all with
+//! one write and one `fdatasync` (see [`ledger`]). So under `Always` —
+//! which [`SyncPolicy::group_commit`] names for the serving plane — `k`
+//! concurrent grantors approach `k` grants per fsync, while a crash still
+//! loses **only frames whose append never returned**: a mid-batch sever
+//! leaves a torn tail that recovery truncates, same as any torn frame.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod committer;
 pub mod crc;
 pub mod ledger;
 pub mod record;
@@ -105,9 +104,10 @@ pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
-pub use committer::GroupCommitStats;
 pub use crc::crc32;
-pub use ledger::{force_unlock, LedgerOptions, RecoveredLedger, RecoveryReport, TenantLedger};
+pub use ledger::{
+    force_unlock, GroupCommitStats, LedgerOptions, RecoveredLedger, RecoveryReport, TenantLedger,
+};
 pub use record::{
     EpochRecord, GrantRecord, GrantRef, GuaranteeTag, RefusalRecord, SnapshotCounters, WalRecord,
 };

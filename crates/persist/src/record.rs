@@ -93,8 +93,7 @@ impl GrantRecord {
 /// A [`GrantRecord`] with borrowed labels: what
 /// [`crate::TenantLedger::append_grant`] takes, so a grant whose labels the
 /// caller already holds is encoded and mirrored without building owned
-/// copies. Only the group-commit path, which ships the record to its
-/// committer thread, turns it into a [`GrantRecord`].
+/// copies, under every sync policy.
 #[derive(Debug, Clone, Copy)]
 pub struct GrantRef<'a> {
     /// See [`GrantRecord::index`].
@@ -117,24 +116,6 @@ pub struct GrantRef<'a> {
     pub query: &'a str,
     /// See [`GrantRecord::policy_version`].
     pub policy_version: u64,
-}
-
-impl GrantRef<'_> {
-    /// The owned record, its labels newly allocated.
-    pub(crate) fn to_record(self) -> GrantRecord {
-        GrantRecord {
-            index: self.index,
-            units: self.units,
-            epsilon: self.epsilon,
-            trials: self.trials,
-            bins: self.bins,
-            guarantee: self.guarantee,
-            mechanism: self.mechanism.into(),
-            policy: self.policy.into(),
-            query: self.query.into(),
-            policy_version: self.policy_version,
-        }
-    }
 }
 
 impl<'a> From<&'a GrantRecord> for GrantRef<'a> {
@@ -288,20 +269,6 @@ impl RecordRef<'_> {
                 out.push(t.relaxes as u8);
                 put_str(out, &t.label);
             }
-        }
-    }
-
-    /// Copies the borrowed record into its owned form (the group-commit
-    /// submission path, which must ship the record to the committer
-    /// thread). A grant's three labels are allocated here.
-    pub(crate) fn to_owned_record(self) -> WalRecord {
-        match self {
-            RecordRef::Grant(g) => WalRecord::Grant(g.to_record()),
-            RecordRef::Refusal(r) => WalRecord::Refusal(r.clone()),
-            RecordRef::Marker { generation, counters } => {
-                WalRecord::SnapshotMarker { generation, counters: *counters }
-            }
-            RecordRef::Epoch(t) => WalRecord::EpochTransition(t.clone()),
         }
     }
 }

@@ -46,7 +46,9 @@ pub trait VfsFile: Send + Debug {
     /// Writes some bytes, returning how many were accepted.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
 
-    /// Vectored write of several buffers, returning bytes accepted.
+    /// Vectored write of several buffers, returning bytes accepted. The
+    /// ledger writes one contiguous buffer per flush and never calls this;
+    /// the default forwards the first non-empty buffer to `write`.
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         match bufs.iter().find(|b| !b.is_empty()) {
             Some(first) => self.write(first),
@@ -562,25 +564,6 @@ impl VfsFile for FaultFile {
                 let keep = keep_bytes.min(buf.len());
                 if keep > 0 {
                     self.inner.write_all(&buf[..keep])?;
-                }
-                Err(injected_error(kind))
-            }
-            Some(kind) => Err(injected_error(kind)),
-        }
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self.shared.fault_for(PersistOp::Write, &self.path) {
-            None => self.inner.write_vectored(bufs),
-            Some(kind @ FaultKind::TornWrite { keep_bytes, .. }) => {
-                let mut remaining = keep_bytes;
-                for buf in bufs {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let keep = remaining.min(buf.len());
-                    self.inner.write_all(&buf[..keep])?;
-                    remaining -= keep;
                 }
                 Err(injected_error(kind))
             }

@@ -12,7 +12,7 @@ use crate::crc::crc32;
 use crate::record::{Decoder, RecordRef, WalRecord};
 use crate::vfs::{persist_error, Vfs, VfsFile};
 use osdp_core::error::{FaultClass, PersistError, PersistOp};
-use std::io::{IoSlice, SeekFrom};
+use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -28,8 +28,12 @@ pub(crate) const MAX_PAYLOAD: usize = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Every append is flushed and fsync'd before the call returns: a
-    /// granted release is durable before its sample exists. Highest
-    /// latency, zero grants lost on crash.
+    /// granted release is durable before its sample exists, and zero
+    /// grants are lost on crash. Concurrent appenders share fsyncs: frames
+    /// that queue while one append's fsync is in flight are written and
+    /// fsync'd together by the next one (see [`crate::ledger`]), so `k`
+    /// concurrent grantors pay about one fsync per batch instead of one
+    /// each. Single-threaded it is one write and one fsync per append.
     Always,
     /// Flush + fsync once every `n` appends (and on drop, snapshot or an
     /// explicit sync). `EveryN(u32::MAX)` is the fully buffered setting:
@@ -41,38 +45,13 @@ pub enum SyncPolicy {
     /// than its cap in total. Open item 1 in `ROADMAP.md` tracks the fix
     /// (budget leases).
     EveryN(u32),
-    /// **Group commit**: `Always`-grade durability per grant at amortized
-    /// fsync cost under concurrency. Appenders encode their frame and hand
-    /// it to a dedicated committer thread (per ledger, lazily spawned on
-    /// the first append), which drains up to `max_batch` queued frames —
-    /// waiting at most `max_wait` after the first for stragglers — into one
-    /// vectored write + **one fsync**, then advances the durable watermark
-    /// and wakes the blocked appenders. Every append still returns only
-    /// once its own frame is durable, so nothing admitted is ever lost on
-    /// crash; with `k` concurrent grantors the fsync cost is paid once per
-    /// batch instead of once per grant. Single-threaded it degrades to one
-    /// fsync per append (plus a thread handoff) — use
-    /// [`SyncPolicy::group_commit`] for defaults tuned to the serving
-    /// plane.
-    GroupCommit {
-        /// Most frames one batch may carry (≥ 1; one write + one fsync per
-        /// batch regardless of how many queue up).
-        max_batch: u32,
-        /// How long the committer waits after the first queued frame for
-        /// more to arrive before fsyncing. `Duration::ZERO` (the default)
-        /// relies on *natural batching*: frames that queue while the
-        /// previous fsync is in flight ride the next batch together, which
-        /// on a busy ledger already yields near-full batches without adding
-        /// latency.
-        max_wait: Duration,
-    },
 }
 
 impl SyncPolicy {
-    /// The default group-commit configuration: batches of up to 64 frames,
-    /// no artificial wait (natural batching only).
+    /// The serving plane's policy: [`SyncPolicy::Always`], which batches
+    /// concurrent appenders into one write and one fsync.
     pub fn group_commit() -> Self {
-        SyncPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO }
+        SyncPolicy::Always
     }
 }
 
@@ -119,12 +98,10 @@ pub(crate) fn encode_frame_into(out: &mut Vec<u8>, scratch: &mut Vec<u8>, record
     out.extend_from_slice(scratch);
 }
 
-/// The buffered frame writer behind a ledger: owns the WAL file handle, the
-/// pending (encoded-but-unwritten) frame bytes, and a reusable payload
-/// encode buffer, so appending a grant frame on the hot path costs **zero
-/// allocations** — the record encodes into the scratch buffer and the frame
-/// bytes land in the pending buffer, both of which are reused across
-/// appends.
+/// The frame writer behind a ledger: owns the WAL file handle and the
+/// pending (encoded-but-unwritten) frame bytes, a buffer reused across
+/// flushes. The ledger encodes frames elsewhere and moves them here just
+/// before a flush.
 ///
 /// ## Fault handling
 ///
@@ -148,8 +125,6 @@ pub struct WalWriter {
     /// Encoded frames accepted but not yet handed to the OS — the bytes a
     /// simulated crash loses.
     pending: Vec<u8>,
-    /// Reused payload encode buffer.
-    scratch: Vec<u8>,
     /// Bytes known fully written: the truncate-and-retry boundary.
     written_len: u64,
     retry: RetryPolicy,
@@ -167,15 +142,7 @@ impl WalWriter {
         written_len: u64,
         retry: RetryPolicy,
     ) -> Self {
-        Self {
-            file,
-            path,
-            pending: Vec::new(),
-            scratch: Vec::new(),
-            written_len,
-            retry,
-            poisoned: None,
-        }
+        Self { file, path, pending: Vec::new(), written_len, retry, poisoned: None }
     }
 
     /// The underlying file (crash simulation's torn-tail write).
@@ -188,17 +155,10 @@ impl WalWriter {
         &self.pending
     }
 
-    /// Mutable access to the pending buffer (crash stashing).
+    /// Mutable access to the pending buffer: the ledger moves queued
+    /// frames in before a flush, and a simulated crash clears it.
     pub(crate) fn pending_mut(&mut self) -> &mut Vec<u8> {
         &mut self.pending
-    }
-
-    /// Encodes `record` as one frame into the pending buffer (no IO, no
-    /// allocation beyond buffer growth).
-    pub(crate) fn buffer_record(&mut self, record: RecordRef<'_>) {
-        // Split borrows: encode into scratch, frame into pending.
-        let Self { pending, scratch, .. } = self;
-        encode_frame_into(pending, scratch, record);
     }
 
     /// Fails with the poison error if the handle is poisoned.
@@ -284,35 +244,6 @@ impl WalWriter {
             return Ok(());
         }
         self.write_pending_with_retry()?;
-        self.sync()
-    }
-
-    /// Writes every pre-encoded frame buffer in `frames` with vectored IO
-    /// (one syscall for the common case) and issues **one** fsync for the
-    /// whole batch — the group-commit write path. Transient write faults
-    /// are retried from the batch start after truncating back to the
-    /// boundary, so a partially-landed batch never leaves torn bytes.
-    pub(crate) fn commit_vectored(&mut self, frames: &[&[u8]]) -> Result<(), PersistError> {
-        self.ensure_usable()?;
-        let total: u64 = frames.iter().map(|f| f.len() as u64).sum();
-        let mut attempt = 1u32;
-        loop {
-            match write_frames_once(self.file.as_mut(), frames) {
-                Ok(()) => {
-                    self.written_len += total;
-                    break;
-                }
-                Err(e) => {
-                    let err = persist_error(PersistOp::Write, &self.path, &e);
-                    self.restore_boundary()?;
-                    if err.class != FaultClass::Transient || attempt >= self.retry.max_attempts {
-                        return Err(err);
-                    }
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    attempt += 1;
-                }
-            }
-        }
         self.sync()
     }
 
@@ -432,28 +363,6 @@ fn write_synced(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), PersistE
         vfs.create_truncate(path).map_err(|e| persist_error(PersistOp::Open, path, &e))?;
     file.write_all(bytes).map_err(|e| persist_error(PersistOp::Write, path, &e))?;
     file.sync_data().map_err(|e| persist_error(PersistOp::Fsync, path, &e))
-}
-
-/// One vectored-write pass over the whole batch. Unlike
-/// `std::io::Write::write_all_vectored`-style loops this does **not**
-/// swallow `Interrupted`: every error surfaces so the caller's
-/// truncate-and-retry boundary logic owns the recovery.
-fn write_frames_once(file: &mut dyn VfsFile, frames: &[&[u8]]) -> std::io::Result<()> {
-    let mut slices: Vec<IoSlice<'_>> = frames.iter().map(|f| IoSlice::new(f)).collect();
-    let mut bufs = &mut slices[..];
-    while !bufs.is_empty() {
-        match file.write_vectored(bufs) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "wal file refused the batch write",
-                ));
-            }
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// Appends `record` to `buf` as one checksummed frame.

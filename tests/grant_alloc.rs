@@ -8,8 +8,9 @@
 //! an in-memory histogram session may allocate only what its output needs:
 //! the estimate buffer and the two `String`s of the returned `Release`. The
 //! budget debit, audit stamp and RNG stream set-up allocate nothing. A
-//! durable session whose WAL buffers its frames (`EveryN`) keeps that
-//! budget: the grant frame is encoded and mirrored from borrowed labels.
+//! durable session keeps that budget under every sync policy: the grant
+//! frame is encoded and mirrored from borrowed labels into buffers the
+//! ledger reuses.
 //!
 //! Recovering a tail decodes, mirrors and audits every frame, but frames
 //! that repeat the previous frame's labels share them, so the allocations
@@ -99,16 +100,15 @@ fn a_warm_release_allocates_only_its_output() {
     assert_eq!(session.audit_len(), 101);
 }
 
-#[test]
-fn a_warm_buffered_durable_release_allocates_only_its_output() {
-    let dir = std::env::temp_dir().join(format!("osdp-grant-alloc-{}", std::process::id()));
+/// Allocations of the 101st release of a warm durable session whose WAL
+/// runs under `sync`.
+fn warm_durable_release_allocations(sync: SyncPolicy, name: &str) -> u64 {
+    let dir = std::env::temp_dir().join(format!("osdp-grant-alloc-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let bins = 32;
     let full = Histogram::from_counts((0..bins).map(|i| 100.0 + i as f64).collect());
     let non_sensitive = Histogram::from_counts((0..bins).map(|i| (i % 7) as f64).collect());
-    // Flushed every 8 frames, so the measured (101st) grant is buffered
-    // into a pending buffer whose capacity the warm-up has settled.
-    let persistence = SessionPersistence::open(&dir, SyncPolicy::EveryN(8)).unwrap();
+    let persistence = SessionPersistence::open(&dir, sync).unwrap();
     let session = histogram_session(full, non_sensitive)
         .policy_label("P-durable")
         .seed(11)
@@ -126,13 +126,29 @@ fn a_warm_buffered_durable_release_allocates_only_its_output() {
     let spent = allocations() - before;
     drop(release);
 
-    assert_eq!(
-        spent, OUTPUT_ALLOCATIONS,
-        "a warm durable release should allocate only its estimate and its two label strings"
-    );
     assert_eq!(session.persistence().unwrap().counters().grants, 101);
     drop(session);
     let _ = std::fs::remove_dir_all(&dir);
+    spent
+}
+
+#[test]
+fn a_warm_buffered_durable_release_allocates_only_its_output() {
+    // EveryN(8) buffers the measured (101st) grant into a queue whose
+    // capacity the warm-up has settled; Always (which `group_commit()`
+    // names) writes and fsyncs it from reused buffers.
+    for (name, sync) in [
+        ("every-8", SyncPolicy::EveryN(8)),
+        ("always", SyncPolicy::Always),
+        ("group-commit", SyncPolicy::group_commit()),
+    ] {
+        assert_eq!(
+            warm_durable_release_allocations(sync, name),
+            OUTPUT_ALLOCATIONS,
+            "{name}: a warm durable release should allocate only its estimate and its two \
+             label strings"
+        );
+    }
 }
 
 /// Writes a clean shard at `dir` whose WAL holds `frames` grants that all

@@ -13,9 +13,10 @@
 //! * **fsync is permanent** — one failed fsync poisons the handle; the
 //!   ledger never re-fsyncs the descriptor, and recovery is the only
 //!   continuation;
-//! * **no appender blocks forever** — group-commit waiters are bounded by
-//!   a configurable deadline, and a dying committer fails every blocked
-//!   appender with a typed error;
+//! * **no appender blocks forever** — when a batch's fsync fails, every
+//!   appender waiting on it gets a typed error, a panic under a ledger lock
+//!   closes the ledger instead of wedging it, and concurrent `Always`
+//!   appenders share fsyncs (natural batching);
 //! * **prefix-closed, never-overspending recovery** — under arbitrary
 //!   seeded fault plans and four sync configurations, recovery replays a
 //!   prefix of the admitted history, never exceeds what the accountant
@@ -24,13 +25,14 @@
 
 use osdp::persist::{
     force_unlock, scrub_shard, EpochRecord, FaultKind, FaultPlan, FaultVfs, GrantRecord,
-    GuaranteeTag, RecoveredLedger, ScrubFinding, StdVfs, TenantLedger, Vfs,
+    GuaranteeTag, RecoveredLedger, ScrubFinding, StdVfs, TenantLedger, Vfs, VfsFile,
 };
 use osdp::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::io::{self, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -365,64 +367,17 @@ fn scrub_racing_group_commit_appenders_always_reports_clean() {
 }
 
 #[test]
-fn group_commit_waiter_deadline_bounds_the_wait() {
-    let root = temp_root("gc-deadline");
-    // A one-shot *transient* write fault parks the committer in a 300 ms
-    // retry backoff; the appender's own 50 ms deadline must fire first
-    // with a typed timeout. (The commit itself succeeds on retry — the
-    // caller has already conservatively treated the grant as refused,
-    // which is the documented over-counting direction.)
-    let plan = FaultPlan::new().fail_nth(
-        PersistOp::Write,
-        "wal.log",
-        2,
-        FaultKind::Fail(FaultClass::Transient),
-    );
-    let options = LedgerOptions {
-        retry: RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(300),
-            max_delay: Duration::from_millis(300),
-        },
-        commit_deadline: Duration::from_millis(50),
-        ..LedgerOptions::default()
-    };
-    let (ledger, _) = TenantLedger::open_with_vfs(
-        root.clone(),
-        SyncPolicy::group_commit(),
-        options,
-        FaultVfs::new(plan),
-    )
-    .unwrap();
-
-    let start = Instant::now();
-    let err = ledger.append_grant(&grant(0)).unwrap_err();
-    let elapsed = start.elapsed();
-    let p = typed(&err);
-    assert_eq!(p.class, FaultClass::Transient, "a deadline expiry is retryable by the caller");
-    assert!(p.detail.contains("deadline"), "the timeout names itself: {}", p.detail);
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "the waiter must not block past its deadline (waited {elapsed:?})"
-    );
-    drop(ledger);
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn dying_committer_fails_every_blocked_appender() {
     let root = temp_root("gc-killed");
     const APPENDERS: usize = 8;
-    // Fsync #0 on wal.log is the open-time rewrite; every committer batch
-    // fsync after it fails, killing the committer under the first batch —
-    // with appenders from 8 threads racing into the queue.
+    // Fsync #0 on wal.log is the open-time rewrite; every batch fsync
+    // after it fails, so the first leader's fsync poisons the writer — with
+    // appenders from 8 threads racing into the queue behind it.
     let plan = FaultPlan::new().fail_from(PersistOp::Fsync, "wal.log", 1, FaultKind::FsyncFail);
-    let options =
-        LedgerOptions { commit_deadline: Duration::from_secs(10), ..LedgerOptions::default() };
     let (ledger, _) = TenantLedger::open_with_vfs(
         root.clone(),
         SyncPolicy::group_commit(),
-        options,
+        LedgerOptions::default(),
         FaultVfs::new(plan),
     )
     .unwrap();
@@ -461,8 +416,8 @@ fn dying_committer_fails_every_blocked_appender() {
     );
     assert_eq!(acked_units, 0, "nothing can be acknowledged once the first fsync fails");
 
-    // The committer is gone: later appends refuse fast with the stashed
-    // typed error instead of queueing into nowhere.
+    // The ledger is closed: later appends refuse fast with the writer's
+    // typed poison error before anything is queued.
     let fast = Instant::now();
     let err = ledger.append_grant(&grant(9999)).unwrap_err();
     assert!(matches!(err, OsdpError::Persist(_)));
@@ -476,6 +431,196 @@ fn dying_committer_fails_every_blocked_appender() {
     let _ = force_unlock(&root);
     let recovered = TenantLedger::peek(&root).unwrap();
     assert!(recovered.spent_units() <= APPENDERS as u64 * 4 * 100);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The hooks of a [`HookVfs`]: what its `wal.log` files do before a write
+/// or an fsync.
+#[derive(Debug, Default)]
+struct WalHooks {
+    /// Armed: the next `wal.log` write panics.
+    panic_next_write: AtomicBool,
+    /// Armed: the next `wal.log` fsync blocks until the gate opens.
+    stall_next_sync: AtomicBool,
+    /// Set once an armed fsync is blocked.
+    stalled: AtomicBool,
+    gate_open: Mutex<bool>,
+    gate: Condvar,
+    /// `wal.log` fsyncs so far.
+    syncs: AtomicUsize,
+}
+
+impl WalHooks {
+    /// Unblocks the stalled fsync (and any later armed one).
+    fn release(&self) {
+        *self.gate_open.lock().unwrap() = true;
+        self.gate.notify_all();
+    }
+}
+
+/// [`StdVfs`] with [`WalHooks`] on its `wal.log` files.
+#[derive(Debug)]
+struct HookVfs(Arc<WalHooks>);
+
+/// A `wal.log` file opened through a [`HookVfs`].
+#[derive(Debug)]
+struct HookFile {
+    inner: Box<dyn VfsFile>,
+    hooks: Arc<WalHooks>,
+}
+
+impl VfsFile for HookFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.hooks.panic_next_write.swap(false, Ordering::SeqCst) {
+            panic!("injected panic in a wal.log write");
+        }
+        self.inner.write(buf)
+    }
+
+    fn sync_data(&mut self) -> io::Result<()> {
+        self.hooks.syncs.fetch_add(1, Ordering::SeqCst);
+        if self.hooks.stall_next_sync.swap(false, Ordering::SeqCst) {
+            self.hooks.stalled.store(true, Ordering::SeqCst);
+            let mut open = self.hooks.gate_open.lock().unwrap();
+            while !*open {
+                open = self.hooks.gate.wait(open).unwrap();
+            }
+        }
+        self.inner.sync_data()
+    }
+
+    fn read_to_end(&mut self, out: &mut Vec<u8>) -> io::Result<usize> {
+        self.inner.read_to_end(out)
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+impl Vfs for HookVfs {
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        StdVfs.create_dir_all(path)
+    }
+
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        let inner = StdVfs.open_rw(path)?;
+        if !path.ends_with("wal.log") {
+            return Ok(inner);
+        }
+        Ok(Box::new(HookFile { inner, hooks: Arc::clone(&self.0) }))
+    }
+
+    fn create_new(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        StdVfs.create_new(path)
+    }
+
+    fn create_truncate(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        StdVfs.create_truncate(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        StdVfs.read(path)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        StdVfs.remove_file(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdVfs.rename(from, to)
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        StdVfs.sync_dir(path)
+    }
+}
+
+/// A fresh `Always` ledger at `root` over a [`HookVfs`], and its hooks.
+fn hooked_ledger(root: &Path) -> (TenantLedger, Arc<WalHooks>) {
+    let hooks = Arc::new(WalHooks::default());
+    let vfs = Arc::new(HookVfs(Arc::clone(&hooks)));
+    let (ledger, _) = TenantLedger::open_with_vfs(
+        root.to_path_buf(),
+        SyncPolicy::Always,
+        LedgerOptions::default(),
+        vfs,
+    )
+    .unwrap();
+    (ledger, hooks)
+}
+
+/// Polls `done` every millisecond for up to ten seconds.
+fn eventually(done: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    while !done() {
+        if start.elapsed() > Duration::from_secs(10) {
+            return false;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// A panic while a thread holds the ledger's writer closes the ledger: the
+/// next append and sync return a typed permanent error instead of
+/// panicking on the poisoned lock.
+#[test]
+fn a_panic_under_the_ledger_lock_closes_the_ledger() {
+    let root = temp_root("lock-poison");
+    let (ledger, hooks) = hooked_ledger(&root);
+    hooks.panic_next_write.store(true, Ordering::SeqCst);
+    let first =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ledger.append_grant(&grant(0))));
+    assert!(first.is_err(), "the injected write panic reaches the appender");
+    for (what, result) in [("append", ledger.append_grant(&grant(1))), ("sync", ledger.sync())] {
+        let err = result.expect_err(what);
+        assert_eq!(typed(&err).class, FaultClass::Permanent, "{what}: {err}");
+    }
+    drop(ledger);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Concurrent `Always` appenders share fsyncs without a committer thread:
+/// while the first append's fsync stalls, seven more queue behind it, and
+/// the next leader makes all seven durable with one write and one fsync.
+#[test]
+fn always_appenders_queued_behind_a_stalled_fsync_share_the_next_one() {
+    const LATER: u64 = 7;
+    let root = temp_root("natural-batching");
+    let (ledger, hooks) = hooked_ledger(&root);
+    let ledger = Arc::new(ledger);
+    let syncs_at_open = hooks.syncs.load(Ordering::SeqCst);
+    hooks.stall_next_sync.store(true, Ordering::SeqCst);
+    let append = |index: u64| {
+        let ledger = Arc::clone(&ledger);
+        thread::spawn(move || ledger.append_grant(&grant(index)))
+    };
+    let mut appenders = vec![append(0)];
+    let stalled = eventually(|| hooks.stalled.load(Ordering::SeqCst));
+    appenders.extend((1..=LATER).map(append));
+    let queued =
+        stalled && eventually(|| ledger.group_commit_stats().submitted_frames == LATER + 1);
+    hooks.release();
+    for appender in appenders {
+        appender.join().unwrap().unwrap();
+    }
+    assert!(stalled, "the first append never reached its fsync");
+    assert!(queued, "the later appenders did not queue behind the stalled fsync");
+
+    assert_eq!(hooks.syncs.load(Ordering::SeqCst) - syncs_at_open, 2, "wal.log fsyncs");
+    let stats = ledger.group_commit_stats();
+    assert_eq!((stats.batches, stats.largest_batch), (2, LATER));
+    assert_eq!(stats.durable_frames, LATER + 1);
+    let mut indices: Vec<u64> =
+        TenantLedger::peek(&root).unwrap().grants.iter().map(|g| g.index).collect();
+    indices.sort_unstable();
+    assert_eq!(indices, (0..=LATER).collect::<Vec<_>>());
+    drop(ledger);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -629,7 +774,7 @@ fn builder(seed: u64) -> SessionBuilder<Record> {
 fn sweep_case(seed: u64, policy: SyncPolicy, tag: &str) {
     let root = temp_root(tag);
     let vfs: Arc<dyn Vfs> = FaultVfs::new(FaultPlan::seeded(seed));
-    let options = LedgerOptions { commit_deadline: Duration::from_secs(5), ..fast_retry() };
+    let options = fast_retry();
     // An open refused by an injected fault admits nothing — nothing to
     // verify for this schedule.
     let Ok(persistence) =
@@ -667,7 +812,7 @@ fn sweep_case(seed: u64, policy: SyncPolicy, tag: &str) {
         recovered.spent_units(),
         admitted_units,
     );
-    if matches!(policy, SyncPolicy::Always | SyncPolicy::GroupCommit { .. }) {
+    if matches!(policy, SyncPolicy::Always) {
         assert!(
             recovered.spent_units() >= acked_units,
             "acknowledged grants lost: {} < acked {} (seed={seed}, {policy:?})",

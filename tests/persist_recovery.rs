@@ -337,7 +337,7 @@ fn crashed_pool_recovers_balanced_and_rehammers_to_the_exact_cap() {
 }
 
 /// Group commit under full concurrency is `Always`-grade: 8 threads hammer
-/// a GroupCommit pool to the exact cap, every writer is crashed with nothing
+/// a `group_commit()` pool to the exact cap, every writer is crashed with nothing
 /// buffered, and recovery is bit-for-bit — accountant == audit == an
 /// independent `TenantLedger::peek` of the shard, at exactly the cap.
 #[test]
@@ -396,8 +396,7 @@ fn group_commit_crash_mid_batch_loses_only_unacknowledged_grants() {
     let dir = root.join("tenant");
     let cap = 16.0; // roomy: the crash interrupts the hammer, not the cap
     let eps = 0.125;
-    let sync =
-        SyncPolicy::GroupCommit { max_batch: 8, max_wait: std::time::Duration::from_micros(200) };
+    let sync = SyncPolicy::group_commit();
 
     let session = Arc::new(
         builder(cap, 21).durable(SessionPersistence::open(&dir, sync).unwrap()).build().unwrap(),
@@ -427,7 +426,7 @@ fn group_commit_crash_mid_batch_loses_only_unacknowledged_grants() {
         })
         .collect();
     barrier.wait();
-    // Let the hammer run mid-flight, then sever the committer mid-batch:
+    // Let the hammer run mid-flight, then sever the writer mid-batch:
     // queued-but-unacknowledged frames become a torn tail (60% of bytes).
     thread::sleep(std::time::Duration::from_millis(30));
     session.persistence().unwrap().crash(0.6).unwrap();
@@ -541,10 +540,7 @@ proptest! {
             SyncPolicy::EveryN(u32::MAX),
             SyncPolicy::EveryN(2),
             SyncPolicy::Always,
-            SyncPolicy::GroupCommit {
-                max_batch: 4,
-                max_wait: std::time::Duration::from_micros(100),
-            },
+            SyncPolicy::group_commit(),
         ][policy_idx];
         let root = temp_root("prop");
         let dir = root.join("tenant");
