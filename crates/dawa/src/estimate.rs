@@ -225,6 +225,42 @@ mod tests {
         }
     }
 
+    /// FNV-1a hashes of `release_into`'s estimate and noisy bucket totals,
+    /// and of the generator's next word, with one scratch and one output
+    /// buffer reused across domains.
+    #[test]
+    fn releases_match_their_golden_hashes() {
+        use rand::RngCore;
+        let want: [(usize, u64, u64); 4] = [
+            (1, 1, 0xCBDC_B4CD_6CD0_87A8),
+            (257, 44, 0x8B2A_6106_6AF8_BE35),
+            (512, 901, 0xF427_60AF_901B_C465),
+            (4097, 3, 0xF3E0_2B94_9DB2_C947),
+        ];
+        let d = Dawa::new(0.7).unwrap();
+        let mut scratch = DawaScratch::new();
+        let mut out = Histogram::zeros(0);
+        let mut failures = Vec::new();
+        for (n, seed, want) in want {
+            let hist = Histogram::from_counts((0..n).map(|i| ((i / 32) * 7) as f64).collect());
+            let hash = |estimate: &Histogram, totals: &[f64], rng: &mut ChaCha12Rng| {
+                let bits = estimate.counts().iter().chain(totals).map(|x| x.to_bits());
+                crate::fnv1a(bits.chain([rng.next_u64()]))
+            };
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            d.release_into(&hist, &mut rng, &mut scratch, &mut out);
+            assert_eq!(scratch.bucket_totals.len(), scratch.partition.len());
+            let got = hash(&out, &scratch.bucket_totals, &mut rng);
+            let mut reference_rng = ChaCha12Rng::seed_from_u64(seed);
+            let reference = d.release(&hist, &mut reference_rng);
+            let reference = hash(&reference.estimate, &reference.bucket_totals, &mut reference_rng);
+            if got != want || reference != want {
+                failures.push(format!("n={n}: into {got:#018X}, reference {reference:#018X}"));
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
     #[test]
     fn accuracy_improves_with_larger_epsilon() {
         let mut r = rng();

@@ -40,3 +40,13 @@ pub use estimate::{Dawa, DawaResult, DawaScratch};
 pub use hierarchical::Hierarchical;
 pub use identity::Identity;
 pub use partition::{Partition, PartitionScratch, Partitioner};
+
+/// FNV-1a over the little-endian bytes of `words`: the hash behind the
+/// golden-hash tests.
+#[cfg(test)]
+pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3))
+}

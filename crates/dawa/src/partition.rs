@@ -366,6 +366,52 @@ mod tests {
         }
     }
 
+    /// FNV-1a hashes of the bucket bounds `partition_into` chooses, and of
+    /// the generator's next word, from the empty domain to 4097 bins (odd
+    /// carries at every level). One scratch is reused across domain sizes.
+    #[test]
+    fn partitions_match_their_golden_hashes() {
+        use rand::RngCore;
+        let want: [(usize, u64); 9] = [
+            (0, 0x28D4_1AA5_38B7_3BF2),
+            (1, 0xD962_745F_DE08_AE29),
+            (2, 0xA228_CAAF_5FC9_2759),
+            (3, 0xB8ED_E415_68B4_6DCE),
+            (255, 0x7976_7F3E_E1B9_B6C6),
+            (256, 0xFE52_9164_4AAE_4C65),
+            (257, 0x8FD3_F6BF_80C4_F534),
+            (1024, 0x2CA6_A8B9_CE41_5371),
+            (4097, 0xD08A_F4F0_18B5_0743),
+        ];
+        let p = Partitioner::new(0.4, 0.8).unwrap();
+        let mut scratch = PartitionScratch::new();
+        let mut out = Partition::new();
+        let mut failures = Vec::new();
+        for (n, want) in want {
+            // Uniform stretches of 64 bins between irregular ones, so the
+            // merge both merges and splits.
+            let hist = Histogram::from_counts(
+                (0..n)
+                    .map(|i| if i / 64 % 2 == 0 { 50.0 } else { (i * 7 % 13) as f64 * 10.0 })
+                    .collect(),
+            );
+            let hash = |partition: &Partition, rng: &mut ChaCha12Rng| {
+                let bounds = partition.iter().flat_map(|&(start, end)| [start as u64, end as u64]);
+                crate::fnv1a(bounds.chain([rng.next_u64()]))
+            };
+            let mut rng = ChaCha12Rng::seed_from_u64(n as u64);
+            p.partition_into(&hist, &mut rng, &mut scratch, &mut out);
+            assert!(is_valid_partition(&out, n), "n={n}: {out:?}");
+            let got = hash(&out, &mut rng);
+            let mut reference_rng = ChaCha12Rng::seed_from_u64(n as u64);
+            let reference = hash(&p.partition(&hist, &mut reference_rng), &mut reference_rng);
+            if got != want || reference != want {
+                failures.push(format!("n={n}: into {got:#018X}, reference {reference:#018X}"));
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
     #[test]
     fn uniform_data_gets_merged_into_few_buckets() {
         // With a generous stage-1 budget the cost comparisons are essentially
