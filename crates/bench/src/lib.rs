@@ -10,9 +10,8 @@
 //!   the cost of the same code paths.
 //! * `ablations` times and reports the design-choice ablations.
 //! * `mechanisms_micro` times each mechanism on a 4096-bin task.
-//! * `mechanism_release` compares `release_into` with the scalar `release`
-//!   oracle and times `release_pool`.
-//! * `session_trials` compares rayon `release_trials` with the serial loop.
+//! * `session_trials` compares rayon `release_trials` with a serial loop of
+//!   `release` over the same per-trial streams.
 //! * `stream_throughput` measures the streaming plane in windows/second.
 
 use osdp_data::tippers::TippersConfig;

@@ -10,7 +10,6 @@ use crate::partition::{Partition, PartitionScratch, Partitioner};
 use osdp_core::error::{validate_epsilon, validate_fraction, Result};
 use osdp_core::Histogram;
 use osdp_noise::Laplace;
-use rand::distributions::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -25,24 +24,12 @@ pub struct Dawa {
     partition_share: f64,
 }
 
-/// The output of a DAWA release: the estimate plus the partition that
-/// produced it (needed by `DAWAz`'s zero-bin redistribution step).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DawaResult {
-    /// The estimated histogram.
-    pub estimate: Histogram,
-    /// The buckets chosen by the private partitioning stage.
-    pub partition: Partition,
-    /// The noisy bucket totals, aligned with `partition`.
-    pub bucket_totals: Vec<f64>,
-}
-
-/// Reusable buffers for [`Dawa::release_into`], the allocation-free release
-/// path. After a call, [`DawaScratch::partition`] and
-/// [`DawaScratch::bucket_totals`] hold the same data a [`DawaResult`] would —
-/// borrowed instead of owned, so a caller running release after release
-/// (trial batches, `DAWAz`'s DP stage) stops paying DAWA's per-release
-/// allocation bill.
+/// Reusable buffers for [`Dawa::release_into`]. After a call,
+/// [`DawaScratch::partition`] and [`DawaScratch::bucket_totals`] hold the
+/// chosen partition and the noisy bucket totals (which `DAWAz`'s zero-bin
+/// redistribution reads), so a caller running release after release (trial
+/// batches, `DAWAz`'s DP stage) stops paying DAWA's per-release allocation
+/// bill.
 #[derive(Debug, Default)]
 pub struct DawaScratch {
     partitioner: PartitionScratch,
@@ -87,47 +74,11 @@ impl Dawa {
         self.epsilon * (1.0 - self.partition_share)
     }
 
-    /// Releases an ε-DP estimate of the histogram.
-    pub fn release<R: Rng + ?Sized>(&self, hist: &Histogram, rng: &mut R) -> DawaResult {
-        let partitioner = Partitioner::new(self.epsilon1(), self.epsilon2())
-            .expect("budgets validated at construction");
-        let partition = partitioner.partition(hist, rng);
-        self.release_with_partition(hist, partition, rng)
-    }
-
-    /// Stage 2 only: releases bucket totals for a given partition and expands
-    /// them uniformly. Exposed separately for the ablation benches (it lets a
-    /// caller compare partitions while holding stage 2 fixed).
-    pub fn release_with_partition<R: Rng + ?Sized>(
-        &self,
-        hist: &Histogram,
-        partition: Partition,
-        rng: &mut R,
-    ) -> DawaResult {
-        // Bounded-DP histogram sensitivity is 2: one record changing value
-        // moves one unit of count between two buckets.
-        let noise = Laplace::for_epsilon(2.0, self.epsilon2()).expect("validated at construction");
-        let mut estimate = Histogram::zeros(hist.len());
-        let mut bucket_totals = Vec::with_capacity(partition.len());
-        for &(start, end) in &partition {
-            let true_total = hist.range_sum(start..end);
-            let noisy_total = (true_total + noise.sample(rng)).max(0.0);
-            bucket_totals.push(noisy_total);
-            let per_bin = noisy_total / (end - start) as f64;
-            for i in start..end {
-                estimate.set(i, per_bin);
-            }
-        }
-        DawaResult { estimate, partition, bucket_totals }
-    }
-
-    /// The allocation-free equivalent of [`Dawa::release`], writing the
-    /// estimate into `out` (resized and overwritten) and leaving the chosen
-    /// partition and noisy bucket totals in `scratch`.
+    /// Releases an ε-DP estimate of the histogram into `out` (resized and
+    /// overwritten), leaving the chosen partition and the noisy bucket
+    /// totals in `scratch`.
     ///
-    /// **Contract**: bitwise-identical output and RNG consumption to
-    /// [`Dawa::release`], which stays the oracle (property-tested). The win
-    /// is mechanical: the arena partitioner plus reused buffers remove every
+    /// The arena partitioner and the reused buffers remove every
     /// per-release allocation except the cost evaluator's prefix sums.
     pub fn release_into<R: Rng + ?Sized>(
         &self,
@@ -142,8 +93,8 @@ impl Dawa {
         partitioner.partition_into(hist, rng, partition_scratch, partition);
 
         // Stage 2 noise, one draw per bucket, pre-drawn as a block through
-        // the fill kernel (the reference path draws the identical sequence
-        // one bucket at a time).
+        // the fill kernel. Bounded-DP histogram sensitivity is 2: one record
+        // changing value moves one unit of count between two buckets.
         let noise = Laplace::for_epsilon(2.0, self.epsilon2()).expect("validated at construction");
         let noise_buf = partition_scratch.noise_buffer();
         noise_buf.resize(partition.len(), 0.0);
@@ -176,6 +127,12 @@ mod tests {
         ChaCha12Rng::seed_from_u64(77)
     }
 
+    fn release(d: &Dawa, hist: &Histogram, rng: &mut ChaCha12Rng) -> Histogram {
+        let mut out = Histogram::zeros(0);
+        d.release_into(hist, rng, &mut DawaScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn construction_and_budget_split() {
         let d = Dawa::new(1.0).unwrap();
@@ -195,33 +152,19 @@ mod tests {
         let d = Dawa::new(1.0).unwrap();
         let mut r = rng();
         let hist = Histogram::from_counts((0..128).map(|i| ((i / 16) * 10) as f64).collect());
-        let result = d.release(&hist, &mut r);
-        assert_eq!(result.estimate.len(), hist.len());
-        assert!(result.estimate.is_non_negative());
-        assert_eq!(result.bucket_totals.len(), result.partition.len());
-        assert!(crate::partition::is_valid_partition(&result.partition, hist.len()));
-        // Bins inside a bucket share the same estimate.
-        for (b, &(start, end)) in result.partition.iter().enumerate() {
-            let per_bin = result.bucket_totals[b] / (end - start) as f64;
-            for i in start..end {
-                assert!((result.estimate.get(i) - per_bin).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn release_into_matches_release_bitwise() {
-        let d = Dawa::new(0.7).unwrap();
-        let hist = Histogram::from_counts((0..512).map(|i| ((i / 32) * 7) as f64).collect());
         let mut scratch = DawaScratch::new();
-        let mut out = Histogram::zeros(0);
-        for seed in [1u64, 44, 901] {
-            let reference = d.release(&hist, &mut ChaCha12Rng::seed_from_u64(seed));
-            // Scratch and output buffer reused across seeds.
-            d.release_into(&hist, &mut ChaCha12Rng::seed_from_u64(seed), &mut scratch, &mut out);
-            assert_eq!(reference.estimate, out);
-            assert_eq!(reference.partition, scratch.partition);
-            assert_eq!(reference.bucket_totals, scratch.bucket_totals);
+        let mut estimate = Histogram::zeros(0);
+        d.release_into(&hist, &mut r, &mut scratch, &mut estimate);
+        assert_eq!(estimate.len(), hist.len());
+        assert!(estimate.is_non_negative());
+        assert_eq!(scratch.bucket_totals.len(), scratch.partition.len());
+        assert!(crate::partition::is_valid_partition(&scratch.partition, hist.len()));
+        // Bins inside a bucket share the same estimate.
+        for (b, &(start, end)) in scratch.partition.iter().enumerate() {
+            let per_bin = scratch.bucket_totals[b] / (end - start) as f64;
+            for i in start..end {
+                assert!((estimate.get(i) - per_bin).abs() < 1e-9);
+            }
         }
     }
 
@@ -243,19 +186,13 @@ mod tests {
         let mut failures = Vec::new();
         for (n, seed, want) in want {
             let hist = Histogram::from_counts((0..n).map(|i| ((i / 32) * 7) as f64).collect());
-            let hash = |estimate: &Histogram, totals: &[f64], rng: &mut ChaCha12Rng| {
-                let bits = estimate.counts().iter().chain(totals).map(|x| x.to_bits());
-                crate::fnv1a(bits.chain([rng.next_u64()]))
-            };
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
             d.release_into(&hist, &mut rng, &mut scratch, &mut out);
             assert_eq!(scratch.bucket_totals.len(), scratch.partition.len());
-            let got = hash(&out, &scratch.bucket_totals, &mut rng);
-            let mut reference_rng = ChaCha12Rng::seed_from_u64(seed);
-            let reference = d.release(&hist, &mut reference_rng);
-            let reference = hash(&reference.estimate, &reference.bucket_totals, &mut reference_rng);
-            if got != want || reference != want {
-                failures.push(format!("n={n}: into {got:#018X}, reference {reference:#018X}"));
+            let bits = out.counts().iter().chain(&scratch.bucket_totals).map(|x| x.to_bits());
+            let got = crate::fnv1a(bits.chain([rng.next_u64()]));
+            if got != want {
+                failures.push(format!("n={n}: {got:#018X}"));
             }
         }
         assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -270,7 +207,7 @@ mod tests {
             let d = Dawa::new(eps).unwrap();
             let mut total = 0.0;
             for _ in 0..5 {
-                total += mean_relative_error(&hist, &d.release(&hist, r).estimate).unwrap();
+                total += mean_relative_error(&hist, &release(&d, &hist, r)).unwrap();
             }
             total / 5.0
         };
@@ -299,23 +236,12 @@ mod tests {
         let mut dawa_err = 0.0;
         let mut id_err = 0.0;
         for _ in 0..5 {
-            dawa_err += mean_relative_error(&hist, &dawa.release(&hist, &mut r).estimate).unwrap();
+            dawa_err += mean_relative_error(&hist, &release(&dawa, &hist, &mut r)).unwrap();
             id_err += mean_relative_error(&hist, &identity.release(&hist, &mut r)).unwrap();
         }
         assert!(
             dawa_err < id_err,
             "DAWA ({dawa_err}) should beat the Laplace identity mechanism ({id_err}) on clustered data"
         );
-    }
-
-    #[test]
-    fn release_with_fixed_partition_respects_it() {
-        let d = Dawa::new(1.0).unwrap();
-        let mut r = rng();
-        let hist = Histogram::from_counts(vec![1.0, 2.0, 3.0, 4.0]);
-        let partition = vec![(0usize, 2usize), (2, 4)];
-        let result = d.release_with_partition(&hist, partition.clone(), &mut r);
-        assert_eq!(result.partition, partition);
-        assert_eq!(result.bucket_totals.len(), 2);
     }
 }

@@ -36,7 +36,7 @@ pub mod hierarchical;
 pub mod identity;
 pub mod partition;
 
-pub use estimate::{Dawa, DawaResult, DawaScratch};
+pub use estimate::{Dawa, DawaScratch};
 pub use hierarchical::Hierarchical;
 pub use identity::Identity;
 pub use partition::{Partition, PartitionScratch, Partitioner};

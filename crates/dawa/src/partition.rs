@@ -21,7 +21,6 @@ use crate::cost::CostEvaluator;
 use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::Histogram;
 use osdp_noise::Laplace;
-use rand::distributions::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -29,17 +28,15 @@ use serde::{Deserialize, Serialize};
 /// (half-open intervals), in increasing order.
 pub type Partition = Vec<(usize, usize)>;
 
-/// Reusable buffers for the allocation-free partitioning path.
+/// Reusable buffers for [`Partitioner::partition_into`].
 ///
-/// The reference [`Partitioner::partition`] allocates one `Vec` per tree node
-/// (≈ 2·domain small allocations per release) and carries 32-byte node
-/// structs through every merge. The arena path exploits a structural fact of
-/// the dyadic merge (including its odd-node carry rule): the node at
-/// `(level, index)` always covers exactly
-/// `[index << level, min(index << level + 2^level, domain))`, so the only
-/// per-node state worth storing is the best cost and one decision bit. A
-/// scratch amortizes to zero allocations once it has been through one
-/// release of the same domain size.
+/// The dyadic merge (including its odd-node carry rule) has a structural
+/// fact the buffers exploit: the node at `(level, index)` always covers
+/// exactly `[index << level, min(index << level + 2^level, domain))`, so the
+/// only per-node state worth storing is the best cost and one decision bit,
+/// in flat per-level arenas rather than one bucket list per node. A scratch
+/// amortizes to zero allocations once it has been through one release of
+/// the same domain size.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     /// `costs[l][j]`: best cost of node `j` at tree level `l` (0 = leaves).
@@ -114,91 +111,18 @@ impl Partitioner {
         self.bucket_constant
     }
 
-    /// Computes an ε₁-private partition of the histogram's domain.
+    /// Computes an ε₁-private partition of the histogram's domain, writing
+    /// it into `out` and reusing `scratch` across calls.
     ///
     /// A single record influences at most two bins (bounded DP), each bin
     /// belongs to one candidate interval per tree level, and a unit change of
     /// a count changes an interval's deviation by at most 2 — so the total L1
     /// sensitivity of all evaluated costs is `4·levels` and each cost is
     /// perturbed with `Lap(4·levels / ε₁)`.
-    pub fn partition<R: Rng + ?Sized>(&self, hist: &Histogram, rng: &mut R) -> Partition {
-        let n = hist.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![(0, 1)];
-        }
-        let ev = CostEvaluator::new(hist);
-        let levels = (n as f64).log2().ceil().max(1.0);
-        let noise = Laplace::centered(4.0 * levels / self.epsilon1)
-            .expect("scale is positive by construction");
-
-        // Bottom-up merge. Each node carries (start, end, cost of the best
-        // dyadic partition inside it, that partition).
-        struct Node {
-            start: usize,
-            end: usize,
-            cost: f64,
-            partition: Partition,
-        }
-
-        let mut level: Vec<Node> = (0..n)
-            .map(|i| Node {
-                start: i,
-                end: i + 1,
-                cost: self.bucket_constant + noise.sample(rng),
-                partition: vec![(i, i + 1)],
-            })
-            .collect();
-
-        while level.len() > 1 {
-            let mut next: Vec<Node> = Vec::with_capacity(level.len() / 2 + 1);
-            let mut iter = level.into_iter();
-            while let Some(left) = iter.next() {
-                let Some(right) = iter.next() else {
-                    // Odd node carries straight up.
-                    next.push(left);
-                    break;
-                };
-                let merged_cost = ev.bucket_cost(left.start, right.end)
-                    + self.bucket_constant
-                    + noise.sample(rng);
-                let split_cost = left.cost + right.cost;
-                if merged_cost <= split_cost {
-                    next.push(Node {
-                        start: left.start,
-                        end: right.end,
-                        cost: merged_cost,
-                        partition: vec![(left.start, right.end)],
-                    });
-                } else {
-                    let mut partition = left.partition;
-                    partition.extend(right.partition);
-                    next.push(Node {
-                        start: left.start,
-                        end: right.end,
-                        cost: split_cost,
-                        partition,
-                    });
-                }
-            }
-            level = next;
-        }
-        level.pop().map(|n| n.partition).unwrap_or_default()
-    }
-
-    /// The allocation-free equivalent of [`Partitioner::partition`], writing
-    /// the chosen partition into `out` and reusing `scratch` across calls.
     ///
-    /// **Contract**: consumes the RNG draw-for-draw like the reference path
-    /// (one leaf cost per bin, one noise draw per attempted merge, in the
-    /// same order) and produces the bitwise-identical partition — the
-    /// reference `partition` stays the oracle, and the parity is
-    /// property-tested. What changes is purely mechanical: tree levels live
-    /// in flat arena buffers and each merge stores a decision bit instead of
-    /// cloning bucket lists, so the ≈ `2·domain` per-node `Vec` allocations
-    /// of the reference path disappear from the hot loop.
+    /// The draws are one leaf cost per bin, then one per attempted merge,
+    /// level by level; each level's draws are one block through the fill
+    /// kernel. Golden hashes of the chosen buckets pin the result.
     pub fn partition_into<R: Rng + ?Sized>(
         &self,
         hist: &Histogram,
@@ -221,9 +145,7 @@ impl Partitioner {
             .expect("scale is positive by construction");
 
         // Level 0: one leaf per bin, its noise drawn through the block fill
-        // kernel (bitwise-identical to the reference path's per-leaf
-        // sampling). A leaf's best solution is itself, so its merged bit is
-        // set.
+        // kernel. A leaf's best solution is itself, so its merged bit is set.
         let mut depth = 0usize;
         scratch.noise.resize(n, 0.0);
         noise.fill(&mut scratch.noise, rng);
@@ -235,12 +157,10 @@ impl Partitioner {
             scratch.noise = noise_buf;
         }
 
-        // Bottom-up merge, identical pairing and draw order to the reference
-        // path: each level's merge noise is pre-drawn as one block (the
-        // reference draws the same variates one pair at a time, in the same
-        // order), and the odd trailing node is carried up verbatim (its
-        // child mapping stays `2·j` because `2·⌊len/2⌋ = len − 1` for odd
-        // lengths).
+        // Bottom-up merge of adjacent pairs: each level's merge noise is
+        // pre-drawn as one block, and the odd trailing node is carried up
+        // verbatim (its child mapping stays `2·j` because
+        // `2·⌊len/2⌋ = len − 1` for odd lengths).
         while scratch.costs[depth].len() > 1 {
             let len = scratch.costs[depth].len();
             let pairs = len / 2;
@@ -321,6 +241,12 @@ mod tests {
         ChaCha12Rng::seed_from_u64(10)
     }
 
+    fn partition(p: &Partitioner, hist: &Histogram, rng: &mut ChaCha12Rng) -> Partition {
+        let mut out = Partition::new();
+        p.partition_into(hist, rng, &mut PartitionScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn construction_validates_budgets() {
         assert!(Partitioner::new(0.1, 0.9).is_ok());
@@ -336,34 +262,10 @@ mod tests {
         let mut r = rng();
         for n in [1usize, 2, 3, 7, 16, 100, 257] {
             let hist = Histogram::from_counts((0..n).map(|i| (i % 5) as f64).collect());
-            let partition = p.partition(&hist, &mut r);
+            let partition = partition(&p, &hist, &mut r);
             assert!(is_valid_partition(&partition, n), "n={n}: {partition:?}");
         }
-        assert!(p.partition(&Histogram::zeros(0), &mut r).is_empty());
-    }
-
-    #[test]
-    fn arena_partitioner_matches_the_reference_bitwise() {
-        use rand::RngCore;
-        let p = Partitioner::new(0.4, 0.8).unwrap();
-        let mut scratch = PartitionScratch::new();
-        let mut out = Partition::new();
-        for n in [0usize, 1, 2, 3, 5, 7, 16, 100, 257, 1024] {
-            for seed in [0u64, 3, 91] {
-                let hist =
-                    Histogram::from_counts((0..n).map(|i| ((i * 7) % 13) as f64 * 10.0).collect());
-                let mut reference_rng = ChaCha12Rng::seed_from_u64(seed);
-                let reference = p.partition(&hist, &mut reference_rng);
-                // The scratch is deliberately reused across domain sizes.
-                let mut arena_rng = ChaCha12Rng::seed_from_u64(seed);
-                p.partition_into(&hist, &mut arena_rng, &mut scratch, &mut out);
-                assert_eq!(reference, out, "n={n}, seed={seed}");
-                if n > 1 {
-                    // Same residual RNG state: draw-for-draw consumption.
-                    assert_eq!(reference_rng.next_u64(), arena_rng.next_u64());
-                }
-            }
-        }
+        assert!(partition(&p, &Histogram::zeros(0), &mut r).is_empty());
     }
 
     /// FNV-1a hashes of the bucket bounds `partition_into` chooses, and of
@@ -395,18 +297,13 @@ mod tests {
                     .map(|i| if i / 64 % 2 == 0 { 50.0 } else { (i * 7 % 13) as f64 * 10.0 })
                     .collect(),
             );
-            let hash = |partition: &Partition, rng: &mut ChaCha12Rng| {
-                let bounds = partition.iter().flat_map(|&(start, end)| [start as u64, end as u64]);
-                crate::fnv1a(bounds.chain([rng.next_u64()]))
-            };
             let mut rng = ChaCha12Rng::seed_from_u64(n as u64);
             p.partition_into(&hist, &mut rng, &mut scratch, &mut out);
             assert!(is_valid_partition(&out, n), "n={n}: {out:?}");
-            let got = hash(&out, &mut rng);
-            let mut reference_rng = ChaCha12Rng::seed_from_u64(n as u64);
-            let reference = hash(&p.partition(&hist, &mut reference_rng), &mut reference_rng);
-            if got != want || reference != want {
-                failures.push(format!("n={n}: into {got:#018X}, reference {reference:#018X}"));
+            let bounds = out.iter().flat_map(|&(start, end)| [start as u64, end as u64]);
+            let got = crate::fnv1a(bounds.chain([rng.next_u64()]));
+            if got != want {
+                failures.push(format!("n={n}: {got:#018X}"));
             }
         }
         assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -420,7 +317,7 @@ mod tests {
         let p = Partitioner::new(50.0, 1.0).unwrap();
         let mut r = rng();
         let hist = Histogram::from_counts(vec![50.0; 256]);
-        let partition = p.partition(&hist, &mut r);
+        let partition = partition(&p, &hist, &mut r);
         assert!(
             partition.len() <= 8,
             "uniform data should collapse to a handful of buckets, got {}",
@@ -439,7 +336,7 @@ mod tests {
         }
         let spiky = Histogram::from_counts(spiky_counts);
         let avg_buckets = |h: &Histogram, r: &mut ChaCha12Rng| {
-            (0..5).map(|_| p.partition(h, r).len()).sum::<usize>() as f64 / 5.0
+            (0..5).map(|_| partition(&p, h, r).len()).sum::<usize>() as f64 / 5.0
         };
         let uniform_buckets = avg_buckets(&uniform, &mut r);
         let spiky_buckets = avg_buckets(&spiky, &mut r);
@@ -457,7 +354,7 @@ mod tests {
         counts[40] = 5_000.0;
         counts[200] = 8_000.0;
         let hist = Histogram::from_counts(counts);
-        let partition = p.partition(&hist, &mut r);
+        let partition = partition(&p, &hist, &mut r);
         assert!(is_valid_partition(&partition, 256));
         // The buckets containing the spikes should be small (the spike is not
         // averaged into a huge uniform region).

@@ -305,8 +305,12 @@ const AUDIT_SHARDS: usize = 16;
 
 /// Slots between the shards of threads started one after another. The
 /// shards are not padded to cache lines (padding all 16 makes a log slower
-/// to build), so adjacent shards can share a line; 7 shards apart (coprime
-/// to 16, so 16 threads in a row still cover every shard) they never do.
+/// to build), so two 48-byte shards one or two slots apart can share a
+/// 64-byte line. Two threads started one after another land 7 shards apart
+/// and never share one. Other pairs can: the second thread after a given
+/// one lands 2 shards away (14 ≡ −2 mod 16), the seventh 1 shard away
+/// (49 ≡ 1 mod 16). 7 is coprime to 16, so 16 threads in a row still cover
+/// every shard.
 const SHARD_STRIDE: usize = 7;
 
 /// The shard slot of the calling thread: assigned round-robin, in steps of

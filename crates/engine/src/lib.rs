@@ -45,9 +45,8 @@
 //!   arena through the buffer-reuse
 //!   [`HistogramMechanism::release_into`](osdp_mechanisms::HistogramMechanism::release_into)
 //!   path (block noise kernels, per-thread mechanism scratch), with
-//!   per-trial RNG streams derived deterministically from the session seed —
-//!   [`OsdpSession::release_trials_serial`] is the scalar oracle the batch
-//!   path must (and is property-tested to) reproduce bitwise;
+//!   per-trial RNG streams derived deterministically from the session seed,
+//!   so the output does not depend on the thread schedule;
 //! * a **task cache** keyed by query/policy/backend identity: repeated
 //!   releases of one question run one backend scan, and
 //!   [`OsdpSession::release_pool`] amortizes that single scan plus a single
@@ -270,9 +269,8 @@
 //!   shards' sums, locking one shard at a time (O(shards), not O(n));
 //!   [`AuditLog::records`] (O(n)) merges the shards back into
 //!   release-index order. Single-threaded callers therefore observe exactly
-//!   the historical append-order log — the bitwise-parity oracle paths are
-//!   unchanged — while concurrent callers observe a total order consistent
-//!   with index allocation.
+//!   the historical append-order log, while concurrent callers observe a
+//!   total order consistent with index allocation.
 //! * **Caches are sharded.** The task cache hashes its identity keys
 //!   across shards holding per-key derivation slots; racing derivations of
 //!   the *same* key serialize on that key's slot and scan exactly once,

@@ -1092,9 +1092,11 @@ impl<R> OsdpSession<R> {
     /// composition (Theorem 3.3) and is debited **up front**: either the
     /// whole batch is granted or none of it is.
     ///
-    /// Per-trial RNG streams are derived from `(session seed, release index,
-    /// trial index)`, so the output is identical to
-    /// [`OsdpSession::release_trials_serial`] regardless of thread schedule.
+    /// Trial `t` of the release with index `i` draws from
+    /// `SeedSequence::new(seed).rng_for("trials/<i>/<mechanism name>", t)`,
+    /// where `seed` is the session's seed, so the output does not depend on
+    /// the thread schedule: a serial loop of [`HistogramMechanism::release`]
+    /// over the same streams reproduces it bitwise.
     pub fn release_trials(
         &self,
         query: &SessionQuery<R>,
@@ -1103,30 +1105,6 @@ impl<R> OsdpSession<R> {
     ) -> Result<Vec<Histogram>> {
         let pool = self.release_pool(query, &[mechanism], trials)?;
         Ok(pool.into_iter().next().map(|release| release.estimates).unwrap_or_default())
-    }
-
-    /// The sequential reference path for [`OsdpSession::release_trials`]:
-    /// identical accounting, audit record and output, one trial at a time
-    /// through the scalar [`HistogramMechanism::release`] oracle. Kept for
-    /// benchmarking and as the bitwise-parity baseline of the buffer-reuse
-    /// batch path.
-    pub fn release_trials_serial(
-        &self,
-        query: &SessionQuery<R>,
-        mechanism: &dyn HistogramMechanism,
-        trials: usize,
-    ) -> Result<Vec<Histogram>> {
-        let debit = [(mechanism.name(), mechanism.guarantee())];
-        let derive = Derive::Epoch(&|e| self.task_under(query, e));
-        let (index, task) =
-            self.grant(query.label(), derive, &debit, trials, |index, _, task| (index, task))?;
-        let stream = format!("trials/{index}/{}", mechanism.name());
-        Ok((0..trials as u64)
-            .map(|trial| {
-                let mut rng = self.seeds.rng_for(&stream, trial);
-                mechanism.release(&task, &mut rng)
-            })
-            .collect())
     }
 
     /// Releases `trials` estimates of the same query through **every**
@@ -1485,10 +1463,15 @@ mod tests {
         let session = records_session(None);
         let mechanism = OsdpLaplace::new(0.5).unwrap();
         let par = session.release_trials(&mod8_query(), &mechanism, 8).unwrap();
-        // A fresh session with the same seed: the serial path must reproduce
-        // the parallel output exactly (streams keyed by trial index).
-        let session2 = records_session(None);
-        let serial = session2.release_trials_serial(&mod8_query(), &mechanism, 8).unwrap();
+        // A serial loop over the same per-trial streams reproduces the
+        // parallel output exactly (streams keyed by trial index).
+        let task = session.derive_task(&mod8_query()).unwrap();
+        let serial: Vec<Histogram> = (0..8)
+            .map(|t| {
+                mechanism
+                    .release(&task, &mut SeedSequence::new(7).rng_for("trials/0/OsdpLaplace", t))
+            })
+            .collect();
         assert_eq!(par, serial);
         assert!((session.total_spent() - 8.0 * 0.5).abs() < 1e-12);
         let audit = session.audit_records();

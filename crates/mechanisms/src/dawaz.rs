@@ -59,10 +59,6 @@ impl HistogramMechanism for Dawaz {
         "DAWAz"
     }
 
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        self.inner.release(task, rng)
-    }
-
     fn release_into(
         &self,
         task: &HistogramTask,

@@ -69,17 +69,17 @@ impl HybridLaplace {
     }
 }
 
-impl HybridLaplace {
-    /// The per-bin composition shared by both release paths: one noise draw
-    /// per bin, branch chosen by the policy split first. Generic over the
-    /// RNG, so the scalar trait path (instantiated at `dyn RngCore`) and the
-    /// buffer-reuse path (monomorphized over the concrete ChaCha RNG) run
-    /// the **same** code and can never drift apart. The per-bin branch rules
-    /// out a straight slice kernel.
-    fn release_generic<G: rand::Rng + ?Sized>(
+impl HistogramMechanism for HybridLaplace {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// One noise draw per bin, its branch chosen by the policy split; the
+    /// per-bin branch rules out a straight slice kernel.
+    fn release_into(
         &self,
         task: &HistogramTask,
-        rng: &mut G,
+        rng: &mut rand_chacha::ChaCha12Rng,
         out: &mut Histogram,
     ) {
         let eps = self.per_part_epsilon();
@@ -108,27 +108,6 @@ impl HybridLaplace {
                 full + dp_noise.sample(rng)
             };
         }
-    }
-}
-
-impl HistogramMechanism for HybridLaplace {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        let mut out = Histogram::zeros(0);
-        self.release_generic(task, rng, &mut out);
-        out
-    }
-
-    fn release_into(
-        &self,
-        task: &HistogramTask,
-        rng: &mut rand_chacha::ChaCha12Rng,
-        out: &mut Histogram,
-    ) {
-        self.release_generic(task, rng, out)
     }
 
     fn guarantee(&self) -> Guarantee {

@@ -104,15 +104,6 @@ impl HistogramMechanism for DpLaplaceHistogram {
         "Laplace"
     }
 
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        let mut estimate =
-            Histogram::from_counts(self.inner.perturb_vector(task.full().counts(), rng));
-        if self.clamp_non_negative {
-            estimate.clamp_non_negative();
-        }
-        estimate
-    }
-
     fn release_into(
         &self,
         task: &HistogramTask,

@@ -12,7 +12,6 @@ use crate::traits::{HistogramMechanism, HistogramTask};
 use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::{Guarantee, Histogram};
 use osdp_noise::OneSidedLaplace;
-use rand::distributions::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -39,18 +38,8 @@ impl OsdpLaplace {
         OneSidedLaplace::for_epsilon(self.epsilon).expect("validated")
     }
 
-    /// Adds one-sided noise to the non-sensitive counts.
-    pub fn perturb<G: Rng + ?Sized>(&self, non_sensitive: &Histogram, rng: &mut G) -> Histogram {
-        let noise = self.noise();
-        Histogram::from_counts(
-            non_sensitive.counts().iter().map(|&c| c + noise.sample(rng)).collect(),
-        )
-    }
-
-    /// The buffer-reuse form of [`OsdpLaplace::perturb`]: overwrites `out`
-    /// with the noisy counts through the block fill kernel
-    /// ([`OneSidedLaplace::add_assign`]), bitwise-identical to the
-    /// allocating form.
+    /// Adds one-sided noise to the non-sensitive counts, overwriting `out`
+    /// through the block fill kernel ([`OneSidedLaplace::add_assign`]).
     pub fn perturb_into<G: Rng + ?Sized>(
         &self,
         non_sensitive: &Histogram,
@@ -65,10 +54,6 @@ impl OsdpLaplace {
 impl HistogramMechanism for OsdpLaplace {
     fn name(&self) -> &str {
         "OsdpLaplace"
-    }
-
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        self.perturb(task.non_sensitive(), rng)
     }
 
     fn release_into(

@@ -40,34 +40,14 @@ impl OsdpLaplaceL1 {
         std::f64::consts::LN_2 / self.epsilon()
     }
 
-    /// Runs Algorithm 2 on a non-sensitive histogram (the scalar reference
-    /// path; [`OsdpLaplaceL1::perturb_into`] is the buffer-reuse equivalent).
-    /// Its de-bias keeps the literal per-bin `if` of the paper, so it is the
-    /// oracle for the branch-free form.
-    pub fn perturb<G: Rng + ?Sized>(&self, non_sensitive: &Histogram, rng: &mut G) -> Histogram {
-        // Step 1: one-sided noise.
-        let mut noisy = self.inner.perturb(non_sensitive, rng);
-        // Step 2: clamp negative counts to zero.
-        noisy.clamp_non_negative();
-        // Steps 3–4: de-bias the surviving positive counts by the median.
-        let correction = self.median_correction();
-        for value in noisy.counts_mut() {
-            if *value > 0.0 {
-                *value += correction;
-            }
-        }
-        noisy
-    }
-
-    /// The buffer-reuse form of [`OsdpLaplaceL1::perturb`]: Algorithm 2
-    /// written into `out` through the block fill kernel, bitwise-identical
-    /// to the scalar path and drawing the same random values.
+    /// Runs Algorithm 2 on a non-sensitive histogram, writing into `out`
+    /// through the block fill kernel.
     ///
     /// The clamp ([`Histogram::clamp_non_negative`]) and the de-bias are
-    /// unconditional selects rather than per-bin `if`s. At small ε a bin
-    /// with count x survives the clamp with probability 1 − e^(−ε·x), which
-    /// for x up to a few 1/ε is close to a coin flip per bin, so a branch
-    /// on it mispredicts about half the bins. The select computes
+    /// unconditional selects rather than the paper's per-bin `if`s. At small
+    /// ε a bin with count x survives the clamp with probability 1 − e^(−ε·x),
+    /// which for x up to a few 1/ε is close to a coin flip per bin, so a
+    /// branch on it mispredicts about half the bins. The select computes
     /// `value + correction` for every bin and keeps it only where
     /// `value > 0.0`, which gives the same bits as the `if` form: `0.0`,
     /// `-0.0` and NaN come out unchanged. (Adding `0.0` to the bins that
@@ -95,10 +75,6 @@ impl HistogramMechanism for OsdpLaplaceL1 {
         "OsdpLaplaceL1"
     }
 
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        self.perturb(task.non_sensitive(), rng)
-    }
-
     fn release_into(
         &self,
         task: &HistogramTask,
@@ -119,6 +95,7 @@ mod tests {
     use crate::laplace::DpLaplaceHistogram;
     use crate::traits::task_from_counts;
     use osdp_metrics::l1_error;
+    use rand::distributions::Distribution;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
@@ -137,7 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn release_into_matches_release_bitwise_when_clamps_are_coin_flips() {
+    fn release_into_matches_the_literal_algorithm_when_clamps_are_coin_flips() {
         // At ε ≤ 0.01 and counts 0–200 a bin is clamped with probability
         // e^(−ε·x) ≥ 0.13, so clamp outcomes vary from bin to bin. Lengths
         // straddle the 256-value block of the noise kernel.
@@ -150,38 +127,37 @@ mod tests {
                 let task = task_from_counts(&counts, &counts).unwrap();
                 let seed = len as u64 ^ eps.to_bits();
 
-                let mut reference_rng = ChaCha12Rng::seed_from_u64(seed);
-                let reference = m.release(&task, &mut reference_rng);
                 let mut reuse_rng = ChaCha12Rng::seed_from_u64(seed);
                 let mut out = Histogram::zeros(3);
                 m.release_into(&task, &mut reuse_rng, &mut out);
 
-                // Algorithm 2 spelled out with per-bin `if`s on the raw
-                // one-sided noise, independent of `clamp_non_negative`.
+                // Algorithm 2 spelled out with per-bin `if`s on one-sided
+                // noise drawn one variate at a time.
                 let mut literal_rng = ChaCha12Rng::seed_from_u64(seed);
-                let mut literal = m.inner.perturb(task.non_sensitive(), &mut literal_rng);
-                for value in literal.counts_mut() {
-                    if *value < 0.0 {
-                        *value = 0.0;
-                    }
-                    if *value > 0.0 {
-                        *value += m.median_correction();
-                    }
-                }
+                let noise = m.inner.noise();
+                let literal: Vec<f64> = counts
+                    .iter()
+                    .map(|&count| {
+                        let mut value = count + noise.sample(&mut literal_rng);
+                        if value < 0.0 {
+                            value = 0.0;
+                        }
+                        if value > 0.0 {
+                            value += m.median_correction();
+                        }
+                        value
+                    })
+                    .collect();
 
                 assert_eq!(out.len(), len);
                 if len > 1 {
-                    let clamped = reference.counts().iter().filter(|&&c| c == 0.0).count();
+                    let clamped = out.counts().iter().filter(|&&c| c == 0.0).count();
                     assert!(clamped > 0 && clamped < len, "eps {eps}, len {len}: {clamped}");
                 }
-                for (bin, ((a, b), c)) in
-                    reference.counts().iter().zip(out.counts()).zip(literal.counts()).enumerate()
-                {
+                for (bin, (a, b)) in out.counts().iter().zip(&literal).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "eps {eps}, len {len}, bin {bin}");
-                    assert_eq!(a.to_bits(), c.to_bits(), "eps {eps}, len {len}, bin {bin}");
                 }
-                let residual = reference_rng.next_u64();
-                assert_eq!(residual, reuse_rng.next_u64(), "eps {eps}, len {len}: draws");
+                let residual = reuse_rng.next_u64();
                 assert_eq!(residual, literal_rng.next_u64(), "eps {eps}, len {len}: draws");
             }
         }
@@ -190,8 +166,7 @@ mod tests {
     /// FNV-1a hashes of ten seeded 1024-bin releases (counts 6–197 in the
     /// non-sensitive part, as on the serving benchmark's `recover-heal`) and
     /// of the generator's next word. They pin the noise bits of the one-sided
-    /// and the DP baseline release paths, through `release_into` and the
-    /// scalar `release` alike.
+    /// mechanism and the DP baseline, through `release_into` and `release`.
     #[test]
     fn releases_match_their_golden_hashes() {
         let non_sensitive: Vec<f64> = (0..1024).map(|i| (6 + i * 37 % 192) as f64).collect();
@@ -220,8 +195,8 @@ mod tests {
                 out
             });
             assert_eq!(into, want, "{} release_into hashed to {into:#018X}", mechanism.name());
-            let scalar = hash(&|rng| mechanism.release(&task, rng));
-            assert_eq!(scalar, want, "{} release", mechanism.name());
+            let fresh = hash(&|rng| mechanism.release(&task, rng));
+            assert_eq!(fresh, want, "{} release", mechanism.name());
         }
     }
 

@@ -61,22 +61,10 @@ impl OsdpRr {
     }
 
     /// Applies the record-level mechanism to a histogram of non-sensitive
-    /// counts: each of the `x_ns[i]` records survives independently with the
-    /// keep probability (binomial thinning). This is exactly what running
+    /// counts, writing into `out` (resized and fully overwritten): each of
+    /// the `x_ns[i]` records survives independently with the keep
+    /// probability (binomial thinning). This is exactly what running
     /// Algorithm 1 and then computing the histogram on its output would do.
-    pub fn thin_histogram<G: Rng + ?Sized>(
-        &self,
-        non_sensitive: &Histogram,
-        rng: &mut G,
-    ) -> Histogram {
-        let mut out = Histogram::zeros(non_sensitive.len());
-        self.thin_histogram_into(non_sensitive, rng, &mut out);
-        out
-    }
-
-    /// The buffer-reuse form of [`OsdpRr::thin_histogram`]: writes the
-    /// thinned counts into `out` (resized and fully overwritten), drawing
-    /// identically to the allocating form.
     pub fn thin_histogram_into<G: Rng + ?Sized>(
         &self,
         non_sensitive: &Histogram,
@@ -129,15 +117,6 @@ impl HistogramMechanism for OsdpRrHistogram {
             "OsdpRR (rescaled)"
         } else {
             "OsdpRR"
-        }
-    }
-
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        let thinned = self.inner.thin_histogram(task.non_sensitive(), rng);
-        if self.rescale {
-            thinned.scale(1.0 / self.inner.keep_probability())
-        } else {
-            thinned
         }
     }
 
@@ -317,7 +296,8 @@ mod tests {
         let m = OsdpRr::new(1.0).unwrap();
         let mut r = rng();
         let ns = Histogram::from_counts(vec![10_000.0, 0.0, 500.0]);
-        let thinned = m.thin_histogram(&ns, &mut r);
+        let mut thinned = Histogram::zeros(0);
+        m.thin_histogram_into(&ns, &mut r, &mut thinned);
         assert_eq!(thinned.len(), 3);
         assert_eq!(thinned.get(1), 0.0, "empty bins stay empty");
         assert!(thinned.dominated_by(&ns).unwrap(), "a sample never exceeds the population");
@@ -412,16 +392,6 @@ mod tests {
         let p = 1.0 - 1e-6;
         let sample = sample_binomial(n, p, &mut r);
         assert!(n - sample < 100, "mirrored sample should sit near n");
-    }
-
-    #[test]
-    fn thin_histogram_into_matches_the_allocating_form_bitwise() {
-        let m = OsdpRr::new(0.8).unwrap();
-        let ns = Histogram::from_counts(vec![512.0, 0.0, 3.0, 90_000.0, 7.0]);
-        let reference = m.thin_histogram(&ns, &mut ChaCha12Rng::seed_from_u64(40));
-        let mut out = Histogram::zeros(1);
-        m.thin_histogram_into(&ns, &mut ChaCha12Rng::seed_from_u64(40), &mut out);
-        assert_eq!(reference, out);
     }
 
     #[test]

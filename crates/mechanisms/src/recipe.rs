@@ -15,14 +15,13 @@
 //! afterwards is post-processing.
 
 use crate::osdp_laplace::OsdpLaplace;
-use crate::osdp_laplace_l1::OsdpLaplaceL1;
 use crate::osdp_rr::OsdpRr;
 use crate::scratch::with_scratch;
 use crate::traits::{HistogramMechanism, HistogramTask};
 use osdp_core::error::{validate_epsilon, validate_fraction, Result};
 use osdp_core::{Guarantee, Histogram};
-use osdp_dawa::{Dawa, DawaScratch, Hierarchical, Identity};
-use rand::{Rng, RngCore};
+use osdp_dawa::{Dawa, DawaScratch, Hierarchical, Identity, Partition};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A two-phase DP histogram algorithm usable inside the recipe: it releases an
@@ -32,21 +31,8 @@ pub trait TwoPhaseDp: Send + Sync {
     fn dp_name(&self) -> &str;
 
     /// Runs the DP algorithm with budget `epsilon` on the full histogram,
-    /// returning the estimate and the bucket partition of the domain.
-    fn release_partitioned(
-        &self,
-        hist: &Histogram,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> (Histogram, Vec<(usize, usize)>);
-
-    /// The buffer-reuse form of [`TwoPhaseDp::release_partitioned`]: writes
-    /// the estimate into `out` and leaves the partition in
-    /// `scratch.partition`, drawing over a concrete RNG. The default
-    /// implementation delegates to the allocating form (always correct);
-    /// algorithms with a real scratch path — DAWA — override it. Same
-    /// bitwise-parity contract as
-    /// [`HistogramMechanism::release_into`].
+    /// writing the estimate into `out` and the bucket partition of the
+    /// domain into `scratch.partition`.
     fn release_partitioned_into<R: Rng>(
         &self,
         hist: &Histogram,
@@ -54,12 +40,7 @@ pub trait TwoPhaseDp: Send + Sync {
         rng: &mut R,
         scratch: &mut DawaScratch,
         out: &mut Histogram,
-    ) {
-        let (estimate, partition) = self.release_partitioned(hist, epsilon, rng);
-        *out = estimate;
-        scratch.partition.clear();
-        scratch.partition.extend_from_slice(&partition);
-    }
+    );
 }
 
 /// DAWA as a two-phase DP algorithm (its natural form).
@@ -78,18 +59,6 @@ impl Default for DawaTwoPhase {
 impl TwoPhaseDp for DawaTwoPhase {
     fn dp_name(&self) -> &str {
         "DAWA"
-    }
-
-    fn release_partitioned(
-        &self,
-        hist: &Histogram,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> (Histogram, Vec<(usize, usize)>) {
-        let dawa = Dawa::with_partition_share(epsilon, self.partition_share)
-            .expect("validated by the recipe");
-        let result = dawa.release(hist, rng);
-        (result.estimate, result.partition)
     }
 
     fn release_partitioned_into<R: Rng>(
@@ -118,16 +87,16 @@ impl TwoPhaseDp for IdentityTwoPhase {
         "Identity"
     }
 
-    fn release_partitioned(
+    fn release_partitioned_into<R: Rng>(
         &self,
         hist: &Histogram,
         epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> (Histogram, Vec<(usize, usize)>) {
-        let identity = Identity::new(epsilon).expect("validated by the recipe");
-        let estimate = identity.release(hist, rng);
-        let partition = (0..hist.len()).map(|i| (i, i + 1)).collect();
-        (estimate, partition)
+        rng: &mut R,
+        scratch: &mut DawaScratch,
+        out: &mut Histogram,
+    ) {
+        *out = Identity::new(epsilon).expect("validated by the recipe").release(hist, rng);
+        one_bucket_per_bin(&mut scratch.partition, hist.len());
     }
 }
 
@@ -140,17 +109,24 @@ impl TwoPhaseDp for HierarchicalTwoPhase {
         "H2"
     }
 
-    fn release_partitioned(
+    fn release_partitioned_into<R: Rng>(
         &self,
         hist: &Histogram,
         epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> (Histogram, Vec<(usize, usize)>) {
-        let h = Hierarchical::new(epsilon).expect("validated by the recipe");
-        let estimate = h.release(hist, rng);
-        let partition = (0..hist.len()).map(|i| (i, i + 1)).collect();
-        (estimate, partition)
+        rng: &mut R,
+        scratch: &mut DawaScratch,
+        out: &mut Histogram,
+    ) {
+        *out = Hierarchical::new(epsilon).expect("validated by the recipe").release(hist, rng);
+        one_bucket_per_bin(&mut scratch.partition, hist.len());
     }
+}
+
+/// The one-bucket-per-bin partition of the two-phase baselines that have no
+/// partitioning stage.
+fn one_bucket_per_bin(partition: &mut Partition, bins: usize) {
+    partition.clear();
+    partition.extend((0..bins).map(|i| (i, i + 1)));
 }
 
 /// Which OSDP primitive the recipe uses to detect zero bins.
@@ -202,29 +178,11 @@ impl<M: TwoPhaseDp> ZeroBinRecipe<M> {
         self.detector
     }
 
-    /// Detects the zero set `Z` with budget `ρ·ε`.
-    fn detect_zero_bins(&self, task: &HistogramTask, rng: &mut dyn RngCore) -> Vec<bool> {
-        let eps1 = self.epsilon * self.rho;
-        match self.detector {
-            ZeroDetector::OsdpRr => {
-                let rr = OsdpRr::new(eps1).expect("validated");
-                let thinned = rr.thin_histogram(task.non_sensitive(), rng);
-                thinned.counts().iter().map(|&c| c == 0.0).collect()
-            }
-            ZeroDetector::OsdpLaplaceL1 => {
-                let mech = OsdpLaplaceL1::new(eps1).expect("validated");
-                let noisy = mech.perturb(task.non_sensitive(), rng);
-                noisy.counts().iter().map(|&c| c == 0.0).collect()
-            }
-        }
-    }
-
-    /// The flags form of [`ZeroBinRecipe::detect_zero_bins`]: writes the
-    /// per-bin zero verdicts into `flags` without materialising the noisy
-    /// histogram, drawing identically to the reference form (one variate per
-    /// bin for either detector — a thinned count is zero iff the binomial
-    /// sample is zero, and a clamped-and-corrected noisy count is zero iff
-    /// the raw noisy count is non-positive).
+    /// Detects the zero set `Z` with budget `ρ·ε`, writing the per-bin
+    /// verdicts into `flags` without materialising the noisy histogram: one
+    /// variate per bin for either detector, since a thinned count is zero
+    /// iff the binomial sample is zero, and a clamped-and-corrected noisy
+    /// count is zero iff the raw noisy count is non-positive.
     fn detect_zero_bins_into<R: Rng + ?Sized>(
         &self,
         task: &HistogramTask,
@@ -257,8 +215,8 @@ impl<M: TwoPhaseDp> ZeroBinRecipe<M> {
 
     /// Algorithm 3's post-processing, written onto `estimate` in place: zero
     /// out the detected bins and reallocate each bucket's mass to its
-    /// surviving bins. Shared verbatim by the allocating and buffer-reuse
-    /// release paths so the two cannot drift.
+    /// surviving bins (Algorithm 3, lines 5-11: the rescale preserves the
+    /// bucket total, as described in the text).
     fn reallocate_zeroed_buckets(
         partition: &[(usize, usize)],
         is_zero: &[bool],
@@ -295,20 +253,6 @@ impl<M: TwoPhaseDp> HistogramMechanism for ZeroBinRecipe<M> {
         &self.name
     }
 
-    fn release(&self, task: &HistogramTask, rng: &mut dyn RngCore) -> Histogram {
-        // Stage 1: (P, ρ·ε)-OSDP zero detection.
-        let is_zero = self.detect_zero_bins(task, rng);
-        // Stage 2: (1-ρ)·ε-DP release of the full histogram.
-        let eps2 = self.epsilon * (1.0 - self.rho);
-        let (mut estimate, partition) = self.dp.release_partitioned(task.full(), eps2, rng);
-
-        // Post-processing: zero out the detected bins and reallocate each
-        // bucket's mass to its surviving bins (Algorithm 3, lines 5-11 — the
-        // rescale preserves the bucket total, as described in the text).
-        Self::reallocate_zeroed_buckets(&partition, &is_zero, &mut estimate);
-        estimate
-    }
-
     fn release_into(
         &self,
         task: &HistogramTask,
@@ -316,13 +260,15 @@ impl<M: TwoPhaseDp> HistogramMechanism for ZeroBinRecipe<M> {
         out: &mut Histogram,
     ) {
         with_scratch(|scratch| {
-            // Stage 1: zero detection, flags into per-thread scratch.
+            // Stage 1: (P, ρ·ε)-OSDP zero detection, flags into per-thread
+            // scratch.
             self.detect_zero_bins_into(task, rng, &mut scratch.flags);
-            // Stage 2: the DP stage through its scratch-aware form (DAWA's
-            // arena partitioner; the default falls back to the reference).
+            // Stage 2: (1-ρ)·ε-DP release of the full histogram, with the
+            // partition left in scratch.
             let eps2 = self.epsilon * (1.0 - self.rho);
             self.dp.release_partitioned_into(task.full(), eps2, rng, &mut scratch.dawa, out);
-            // Post-processing, identical code to `release`.
+            // Post-processing: zero the detected bins and reallocate bucket
+            // mass.
             Self::reallocate_zeroed_buckets(&scratch.dawa.partition, &scratch.flags, out);
         })
     }
@@ -354,11 +300,6 @@ impl DawaHistogram {
 impl HistogramMechanism for DawaHistogram {
     fn name(&self) -> &str {
         "DAWA"
-    }
-
-    fn release(&self, task: &HistogramTask, rng: &mut dyn RngCore) -> Histogram {
-        let dawa = Dawa::new(self.epsilon).expect("validated");
-        dawa.release(task.full(), rng).estimate
     }
 
     fn release_into(
@@ -483,16 +424,18 @@ mod tests {
             fn dp_name(&self) -> &str {
                 "Fixed"
             }
-            fn release_partitioned(
+            fn release_partitioned_into<R: Rng>(
                 &self,
                 hist: &Histogram,
                 _epsilon: f64,
-                _rng: &mut dyn RngCore,
-            ) -> (Histogram, Vec<(usize, usize)>) {
+                _rng: &mut R,
+                scratch: &mut DawaScratch,
+                out: &mut Histogram,
+            ) {
                 // Perfect uniform-expansion estimate over a single bucket.
-                let total = hist.total();
-                let per_bin = total / hist.len() as f64;
-                (Histogram::from_counts(vec![per_bin; hist.len()]), vec![(0, hist.len())])
+                let per_bin = hist.total() / hist.len() as f64;
+                *out = Histogram::from_counts(vec![per_bin; hist.len()]);
+                scratch.partition = vec![(0, hist.len())];
             }
         }
         // Bins 0,1 carry all the data; bins 2,3 are empty and will be detected
@@ -515,13 +458,16 @@ mod tests {
             fn dp_name(&self) -> &str {
                 "OneBucket"
             }
-            fn release_partitioned(
+            fn release_partitioned_into<R: Rng>(
                 &self,
                 hist: &Histogram,
                 _epsilon: f64,
-                _rng: &mut dyn RngCore,
-            ) -> (Histogram, Vec<(usize, usize)>) {
-                (Histogram::from_counts(vec![7.0; hist.len()]), vec![(0, hist.len())])
+                _rng: &mut R,
+                scratch: &mut DawaScratch,
+                out: &mut Histogram,
+            ) {
+                *out = Histogram::from_counts(vec![7.0; hist.len()]);
+                scratch.partition = vec![(0, hist.len())];
             }
         }
         // Everything is sensitive, so the RR detector sees an all-zero

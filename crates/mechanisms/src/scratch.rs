@@ -1,4 +1,4 @@
-//! Per-thread scratch buffers behind the buffer-reuse release path.
+//! Per-thread scratch buffers of the release path.
 //!
 //! The two-phase mechanisms (`DAWA`, `DAWAz` and the recipe family) need
 //! working memory per release: merge-tree arenas, the chosen partition, the

@@ -13,7 +13,6 @@ use crate::traits::{HistogramMechanism, HistogramTask};
 use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::{Guarantee, Histogram};
 use osdp_noise::Laplace;
-use rand::distributions::Distribution;
 use serde::{Deserialize, Serialize};
 
 /// The PDP threshold algorithm for histograms.
@@ -48,15 +47,8 @@ impl HistogramMechanism for Suppress {
         &self.name
     }
 
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        // τ-DP Laplace release of the histogram over the *non-sensitive*
-        // records only (sensitivity 2 in the bounded model).
-        let noise = Laplace::for_epsilon(2.0, self.tau).expect("validated");
-        Histogram::from_counts(
-            task.non_sensitive().counts().iter().map(|&c| c + noise.sample(rng)).collect(),
-        )
-    }
-
+    /// A τ-DP Laplace release of the histogram over the *non-sensitive*
+    /// records only (sensitivity 2 in the bounded model).
     fn release_into(
         &self,
         task: &HistogramTask,

@@ -104,39 +104,32 @@ pub trait HistogramMechanism: Send + Sync {
     /// A short, stable display name (used as the algorithm label in figures).
     fn name(&self) -> &str;
 
-    /// Releases an estimate of the task's full histogram.
+    /// Writes an estimate of the task's full histogram into `out`, drawing
+    /// noise over a concrete ChaCha RNG (block fill kernels, no per-sample
+    /// virtual dispatch). This is the one sampling implementation of every
+    /// mechanism; golden hashes of seeded releases pin its bits
+    /// (`tests/release_parity.rs`).
     ///
-    /// This is the **reference scalar path**: it allocates its output and
-    /// draws noise one variate at a time through the `&mut dyn RngCore`, and
-    /// it is the bitwise-parity oracle for
-    /// [`HistogramMechanism::release_into`].
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram;
-
-    /// The buffer-reuse release path: writes the estimate into `out` instead
-    /// of allocating, drawing noise over a concrete ChaCha RNG (block fill
-    /// kernels, no per-sample virtual dispatch).
-    ///
-    /// **Contract**:
-    ///
-    /// * `out` is owned by the caller and fully overwritten — it is resized
-    ///   to the task's bin count and every bin is written, so stale contents
-    ///   can never leak into a release. Callers reuse one `out` (and, for
-    ///   mechanisms with internal scratch, one thread) across releases to
-    ///   amortize allocation; `osdp_engine`'s batch paths do exactly that.
-    /// * Output and RNG consumption are **bitwise identical** to
-    ///   [`HistogramMechanism::release`] from the same RNG state; the scalar
-    ///   path stays the oracle (property-tested in `tests/release_parity.rs`).
-    /// * The default implementation delegates to `release` and copies — it is
-    ///   always *correct*, so custom mechanisms (tests, experiments) need not
-    ///   override it; overriding is purely a performance upgrade for hot
-    ///   pool/trial loops.
+    /// `out` is owned by the caller and fully overwritten: it is resized to
+    /// the task's bin count and every bin is written, so stale contents can
+    /// never leak into a release. Callers reuse one `out` (and, for
+    /// mechanisms with internal scratch, one thread) across releases to
+    /// amortize allocation; `osdp_engine`'s batch paths do exactly that.
     fn release_into(
         &self,
         task: &HistogramTask,
         rng: &mut rand_chacha::ChaCha12Rng,
         out: &mut Histogram,
-    ) {
-        *out = self.release(task, rng);
+    );
+
+    /// Releases an estimate into a fresh histogram: [`release_into`] on an
+    /// empty buffer, for callers that do not reuse one.
+    ///
+    /// [`release_into`]: HistogramMechanism::release_into
+    fn release(&self, task: &HistogramTask, rng: &mut rand_chacha::ChaCha12Rng) -> Histogram {
+        let mut out = Histogram::zeros(0);
+        self.release_into(task, rng, &mut out);
+        out
     }
 
     /// The quantified privacy guarantee one invocation provides: the kind of
@@ -150,9 +143,6 @@ pub trait HistogramMechanism: Send + Sync {
 impl<M: HistogramMechanism + ?Sized> HistogramMechanism for &M {
     fn name(&self) -> &str {
         (**self).name()
-    }
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        (**self).release(task, rng)
     }
     fn release_into(
         &self,
@@ -171,9 +161,6 @@ impl<M: HistogramMechanism + ?Sized> HistogramMechanism for Box<M> {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        (**self).release(task, rng)
-    }
     fn release_into(
         &self,
         task: &HistogramTask,
@@ -190,9 +177,6 @@ impl<M: HistogramMechanism + ?Sized> HistogramMechanism for Box<M> {
 impl<M: HistogramMechanism + ?Sized> HistogramMechanism for std::sync::Arc<M> {
     fn name(&self) -> &str {
         (**self).name()
-    }
-    fn release(&self, task: &HistogramTask, rng: &mut dyn rand::RngCore) -> Histogram {
-        (**self).release(task, rng)
     }
     fn release_into(
         &self,
@@ -257,8 +241,13 @@ mod tests {
         fn name(&self) -> &str {
             "Echo"
         }
-        fn release(&self, task: &HistogramTask, _rng: &mut dyn rand::RngCore) -> Histogram {
-            task.full().clone()
+        fn release_into(
+            &self,
+            task: &HistogramTask,
+            _rng: &mut rand_chacha::ChaCha12Rng,
+            out: &mut Histogram,
+        ) {
+            out.assign(task.full().counts());
         }
         fn guarantee(&self) -> Guarantee {
             Guarantee::Osdp { eps: 1.0 }

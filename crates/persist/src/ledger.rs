@@ -840,17 +840,28 @@ impl TenantLedger {
 
 impl Drop for TenantLedger {
     fn drop(&mut self) {
-        // A lock poisoned by a panic releases nothing, like a crash.
-        let (Ok(writer), Ok(log)) = (self.io.get_mut(), self.log.get_mut()) else {
-            return;
-        };
-        if log.crashed {
-            // A crashed writer releases nothing: pending bytes are gone and
-            // the LOCK file stays, exactly like a killed process.
-            return;
+        match (self.io.get_mut(), self.log.get_mut()) {
+            (Ok(writer), Ok(log)) => {
+                if log.crashed {
+                    // A crashed writer releases nothing: pending bytes are
+                    // gone and the LOCK file stays, exactly like a killed
+                    // process.
+                    return;
+                }
+                log.drain_into(writer);
+                let _ = writer.flush_and_sync();
+            }
+            // A panic under a lock closed the ledger and may have left its
+            // queue half-written, so nothing more is written. This process
+            // is still alive and done with the shard, though, so unless the
+            // writer had crashed first the LOCK goes, and a later open in
+            // this process can take the shard.
+            (_, log) => {
+                if log.unwrap_or_else(PoisonError::into_inner).crashed {
+                    return;
+                }
+            }
         }
-        log.drain_into(writer);
-        let _ = writer.flush_and_sync();
         let _ = self.vfs.remove_file(&self.dir.join(LOCK_FILE));
     }
 }

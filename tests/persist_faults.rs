@@ -585,6 +585,29 @@ fn a_panic_under_the_ledger_lock_closes_the_ledger() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Dropping a ledger closed by a panic releases its LOCK: the same process
+/// can reopen the shard and recovers every grant made durable before the
+/// panic.
+#[test]
+fn a_ledger_closed_by_a_panic_can_be_reopened_in_the_same_process() {
+    let root = temp_root("lock-poison-reopen");
+    let (ledger, hooks) = hooked_ledger(&root);
+    for index in 0..3 {
+        ledger.append_grant(&grant(index)).unwrap();
+    }
+    hooks.panic_next_write.store(true, Ordering::SeqCst);
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ledger.append_grant(&grant(3))));
+    assert!(panicked.is_err(), "the injected write panic reaches the appender");
+    drop(ledger);
+
+    let (reopened, recovered) = TenantLedger::open(&root, SyncPolicy::Always).unwrap();
+    let indices: Vec<u64> = recovered.grants.iter().map(|g| g.index).collect();
+    assert_eq!(indices, [0, 1, 2]);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Concurrent `Always` appenders share fsyncs without a committer thread:
 /// while the first append's fsync stalls, seven more queue behind it, and
 /// the next leader makes all seven durable with one write and one fsync.
