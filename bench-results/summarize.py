@@ -79,6 +79,12 @@ ENTRIES = [
         "dir": "one-append-path",
         "claimed": {},
     },
+    {
+        "entry": 21,
+        "change": "release_into the only sampling path of every mechanism; scalar oracles replaced by golden hashes (no gain claimed)",
+        "dir": "one-release-path",
+        "claimed": {},
+    },
 ]
 
 

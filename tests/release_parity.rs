@@ -352,10 +352,10 @@ fn releases_match_their_golden_hashes() {
                 mechanism.release_into(&task, rng, &mut out);
                 out.clone()
             });
-            let scalar = stream_hash(seed, |rng| mechanism.release(&task, rng));
-            if into != want || scalar != want {
+            let fresh = stream_hash(seed, |rng| mechanism.release(&task, rng));
+            if into != want || fresh != want {
                 failures.push(format!(
-                    "{label} len {len}: release_into {into:#018X}, release {scalar:#018X}"
+                    "{label} len {len}: release_into {into:#018X}, release {fresh:#018X}"
                 ));
             }
         }
