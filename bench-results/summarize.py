@@ -85,6 +85,12 @@ ENTRIES = [
         "dir": "one-release-path",
         "claimed": {},
     },
+    {
+        "entry": 22,
+        "change": "entry 21's change plus persistent worker threads in the vendored rayon (no gain claimed)",
+        "dir": "persistent-workers",
+        "claimed": {},
+    },
 ]
 
 
