@@ -475,7 +475,9 @@ pub mod supervisor;
 
 pub use audit::{AuditLog, AuditRecord};
 pub use backend::{Backend, ColumnarBackend, HistogramPair, QueryPlan, RowBackend};
-pub use osdp_attack::{EpochTransition, EpochVerdict, LedgerVerdict, ReleaseStamp};
+pub use osdp_attack::{
+    verify_epoch_stamps, EpochTransition, EpochVerdict, LedgerVerdict, ReleaseStamp,
+};
 pub use osdp_core::policy::{EpochDirection, PolicyEpoch, VersionedPolicy};
 pub use osdp_persist::{GroupCommitStats, LedgerOptions, RecoveryReport, RetryPolicy, SyncPolicy};
 pub use persist::{GrantEvent, RecoveredSession, SessionPersistence, SessionWal};
