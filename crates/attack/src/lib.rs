@@ -29,21 +29,20 @@
 //! [`adversary`] computes the worst-case and prior-specific posterior odds,
 //! and [`verify`] checks the OSDP definition itself by enumerating one-sided
 //! neighbors of small databases.
+//!
+//! Verifying a serving session's ledger against the composition theorems
+//! is the engine's job (`osdp_engine::OsdpSession::verify_policy_lifecycle`),
+//! not this crate's.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod adversary;
-pub mod audit;
 pub mod prior;
 pub mod release_models;
 pub mod verify;
 
 pub use adversary::{exclusion_attack_phi, posterior_odds_ratio};
-pub use audit::{
-    verify_epoch_stamps, verify_ledger, verify_ledger_versioned, EpochTransition, EpochVerdict,
-    LedgerVerdict, ReleaseStamp,
-};
 pub use prior::ProductPrior;
 pub use release_models::{
     DpGeometricModel, OsdpRrModel, ReleaseModel, SuppressModel, TruthfulModel,

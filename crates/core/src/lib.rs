@@ -64,6 +64,7 @@ pub mod domain;
 pub mod error;
 pub mod frame;
 pub mod histogram;
+pub mod json;
 pub mod neighbors;
 pub mod policy;
 pub mod record;
@@ -81,6 +82,7 @@ pub use frame::{
     BinSpec, Column, ColumnarFrame, CompiledPolicy, FrameBuilder, FrameColumn, PolicyMask,
 };
 pub use histogram::{Histogram, Histogram2D};
+pub use json::{json_number, json_string};
 pub use neighbors::{dp_neighbors, extended_one_sided_neighbors, one_sided_neighbors};
 pub use policy::{
     AllSensitive, AttributePolicy, ClosurePolicy, EpochDirection, MinimumRelaxation, NoneSensitive,

@@ -1,5 +1,5 @@
-//! The session audit log: one record per release, with a ledger view
-//! consumable by `osdp_attack::verify_ledger`.
+//! The session audit log: one record per release, and the verifier that
+//! checks it against the composition theorems.
 //!
 //! The log keeps every release, because it is the ledger of record, but it
 //! does not keep an [`AuditRecord`] per release. Each shard holds a **key
@@ -8,18 +8,238 @@
 //! **rows**: the packed `(index, version)` stamp plus a key id. Snapshots
 //! ([`AuditLog::records`], [`AuditLog::ledger`], [`AuditLog::to_json`])
 //! rebuild the exact records from rows and keys.
+//!
+//! Verification ([`crate::OsdpSession::verify_policy_lifecycle`]) builds no
+//! record: it folds each shard's rows into per-key counts, sums the keys'
+//! fixed-point debits under sequential composition (Theorem 3.3), compares
+//! the sum with the cap in the accountant's own units, and checks every
+//! row's epoch stamp against the policy lifecycle as it passes. It also
+//! flags the releases whose guarantee leaves them exposed to exclusion
+//! attacks: PDP releases only enjoy φ = τ freedom (Theorem 3.4), while
+//! DP/OSDP releases enjoy φ = ε (Theorems 3.1, 3.2).
 
-use osdp_attack::ReleaseStamp;
-use osdp_core::budget::{epsilon_to_units, LedgerEntry};
-use osdp_core::{BudgetAccountant, Guarantee};
-use osdp_metrics::{json_number, json_string};
+use osdp_core::budget::{epsilon_to_units, units_to_epsilon, LedgerEntry, PrivacyGuarantee};
+use osdp_core::{json_number, json_string, BudgetAccountant, Guarantee};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// One release's policy epoch stamp: the audit sequence number of the
+/// release and the epoch version the session stamped it with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReleaseStamp {
+    /// The release's audit sequence number (dense, per session).
+    pub seq: u64,
+    /// The policy epoch version stamped onto the release.
+    pub version: u64,
+}
+
+/// One epoch transition of the policy lifecycle under audit, as recovered
+/// from the engine session or its WAL. The record carries its own ordering
+/// (`version`, `boundary_seq`), so the verifier never depends on the order
+/// transitions are handed to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpochTransition {
+    /// The version this transition installed (the initial epoch is 0, so
+    /// transitions start at 1).
+    pub version: u64,
+    /// The first release sequence number stamped with `version`: every
+    /// release with `seq < boundary_seq` was allocated under an earlier
+    /// version, every release with `seq >= boundary_seq` under this one or
+    /// later.
+    pub boundary_seq: u64,
+    /// Whether the transition relaxed the policy (consent) rather than
+    /// tightened it (opt-out, decay).
+    pub relaxes: bool,
+    /// The label of the installed policy.
+    pub label: String,
+}
+
+/// The stale-policy half of a ledger verdict: did any release get served
+/// under a policy *more permissive* than the one in force at its sequence
+/// number?
+///
+/// Permissiveness is the integer level of
+/// `osdp_core::policy::VersionedPolicy`: the initial epoch sits at 0, each
+/// relax adds 1, each tighten subtracts 1. The version **in force** at
+/// sequence `s` is the highest version whose boundary is `<= s`. A release
+/// violates exactly when its stamped level exceeds the in-force level —
+/// being stamped with a *tighter* epoch than the one in force is allowed
+/// (the release leaked less than it was entitled to).
+///
+/// The check fails **closed**: a stamp carrying a version the transition
+/// history never issued, or a history whose versions are not the dense
+/// chain 1..=n, is a violation, never excused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpochVerdict {
+    /// Number of known epoch versions (transitions forming the dense chain,
+    /// plus the initial epoch).
+    pub versions: u64,
+    /// Sequence numbers of releases served under a more permissive policy
+    /// than the one in force (or stamped with an unknown version).
+    pub stale_releases: Vec<u64>,
+    /// Whether version stamps are monotone non-decreasing in sequence
+    /// order — the structural invariant an honest session's packed audit
+    /// counter guarantees: no stamp carries a higher version than a stamp
+    /// with a higher sequence number.
+    pub monotone: bool,
+    /// Whether the transition history itself was well-formed (dense
+    /// versions 1..=n).
+    pub history_dense: bool,
+}
+
+impl EpochVerdict {
+    /// Whether the stamped history is provably free of stale-policy
+    /// releases.
+    pub fn consistent(&self) -> bool {
+        self.stale_releases.is_empty() && self.monotone && self.history_dense
+    }
+}
+
+/// Verifies epoch stamps against a transition history (see
+/// [`EpochVerdict`]), through the same per-stamp fold that verifies a
+/// session's audit rows. O(stamps · log transitions + transitions ·
+/// log transitions).
+pub fn verify_epoch_stamps(
+    stamps: &[ReleaseStamp],
+    transitions: &[EpochTransition],
+) -> EpochVerdict {
+    let mut check = EpochCheck::new(transitions);
+    stamps.iter().for_each(|stamp| check.visit(stamp.seq, stamp.version));
+    check.verdict()
+}
+
+/// The per-stamp fold of the stale-policy check: each stamp is checked
+/// against the version in force at its sequence number as it is visited,
+/// and only each stamped version's lowest and highest sequence number is
+/// kept for the monotonicity check, so no stamp is stored or sorted.
+#[derive(Default)]
+struct EpochCheck {
+    /// The permissiveness level of each version of the dense chain.
+    levels: Vec<i64>,
+    /// `boundaries[v]` is the minimum of version `v`'s first sequence
+    /// number and every later version's.
+    boundaries: Vec<u64>,
+    history_dense: bool,
+    stale_releases: Vec<u64>,
+    /// The lowest and highest sequence number stamped with each version.
+    ranges: BTreeMap<u64, (u64, u64)>,
+}
+
+impl EpochCheck {
+    fn new(transitions: &[EpochTransition]) -> Self {
+        let mut sorted: Vec<&EpochTransition> = transitions.iter().collect();
+        sorted.sort_by_key(|t| (t.version, t.boundary_seq));
+        // Rebuild the permissiveness levels and boundaries for the dense
+        // chain 1..=n; anything past a gap or duplicate is unknown (fail
+        // closed).
+        let mut levels: Vec<i64> = vec![0];
+        let mut boundaries: Vec<u64> = vec![0];
+        for (i, t) in sorted.iter().enumerate().take_while(|(i, t)| t.version == *i as u64 + 1) {
+            levels.push(levels[i] + if t.relaxes { 1 } else { -1 });
+            boundaries.push(t.boundary_seq);
+        }
+        let history_dense = levels.len() == sorted.len() + 1;
+        // The version in force at `seq` is max{v : b_v ≤ seq}. Replacing
+        // each boundary by the minimum of it and every later one leaves
+        // that answer unchanged — b_v ≤ seq implies min_{u≥v} b_u ≤ seq,
+        // and min_{u≥v} b_u ≤ seq means some u ≥ v has b_u ≤ seq — even for
+        // a dishonest history whose boundaries are not monotone. The
+        // suffix minimum is non-decreasing, so a binary search finds it.
+        for v in (1..boundaries.len()).rev() {
+            boundaries[v - 1] = boundaries[v - 1].min(boundaries[v]);
+        }
+        Self { levels, boundaries, history_dense, ..Self::default() }
+    }
+
+    fn visit(&mut self, seq: u64, version: u64) {
+        let in_force = self.boundaries.partition_point(|&b| b <= seq).saturating_sub(1);
+        let stamped = self.levels.get(version as usize);
+        // An unknown version is never excused.
+        if stamped.is_none_or(|&level| level > self.levels[in_force]) {
+            self.stale_releases.push(seq);
+        }
+        let (lowest, highest) = self.ranges.entry(version).or_insert((seq, seq));
+        *lowest = (*lowest).min(seq);
+        *highest = (*highest).max(seq);
+    }
+
+    fn verdict(mut self) -> EpochVerdict {
+        self.stale_releases.sort_unstable();
+        self.stale_releases.dedup();
+        // Monotone when no version's lowest sequence number lies below the
+        // highest of the version stamped before it; every range is ordered,
+        // so that covers every lower version too.
+        let next = self.ranges.values().skip(1);
+        let monotone = self.ranges.values().zip(next).all(|(lower, upper)| lower.1 <= upper.0);
+        EpochVerdict {
+            versions: self.levels.len() as u64,
+            stale_releases: self.stale_releases,
+            monotone,
+            history_dense: self.history_dense,
+        }
+    }
+}
+
+/// The outcome of verifying a session's audit log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LedgerVerdict {
+    /// Total ε under sequential composition (Theorem 3.3): the fixed-point
+    /// units of every release, summed exactly.
+    pub total_epsilon: f64,
+    /// Labels of the policies the composed guarantee refers to (their
+    /// minimum relaxation, Definition 3.6), deduplicated in first-use order.
+    pub policies: Vec<String>,
+    /// Whether every release is plain ε-DP (then the composite is ε-DP too).
+    pub is_pure_dp: bool,
+    /// Whether the total respects the claimed cap, compared in fixed-point
+    /// units (vacuously true without one).
+    pub within_limit: bool,
+    /// The worst exclusion-attack exponent φ across releases: for DP/OSDP
+    /// releases φ equals their ε; PDP releases pay their full threshold τ.
+    pub worst_exclusion_phi: f64,
+    /// The distinct labels of the PDP releases, in first-use order —
+    /// releases that satisfy personalized DP but **not** OSDP, and are
+    /// therefore the ledger's exclusion-attack surface.
+    pub pdp_entries: Vec<String>,
+    /// The stale-policy verdict over the session's epoch history.
+    pub epochs: EpochVerdict,
+}
+
+impl LedgerVerdict {
+    /// Whether the ledger as a whole upholds the OSDP contract: within its
+    /// cap, free of PDP releases, and free of stale-policy releases.
+    pub fn upholds_osdp(&self) -> bool {
+        self.within_limit && self.pdp_entries.is_empty() && self.epochs.consistent()
+    }
+}
+
+/// The ε one release of `trials` trials under `guarantee` costs under
+/// sequential composition — the f64 the grant path converts to units.
+fn batch_epsilon(guarantee: Guarantee, trials: usize) -> f64 {
+    guarantee.epsilon() * trials as f64
+}
+
+/// The ledger label of a release: its mechanism, and its trial count when
+/// it is a batch.
+fn ledger_label(mechanism: &str, trials: usize) -> String {
+    if trials > 1 {
+        format!("{mechanism} x{trials}")
+    } else {
+        mechanism.to_string()
+    }
+}
+
+/// Appends `label` to `labels` unless it is already there.
+fn push_distinct(labels: &mut Vec<String>, label: &str) {
+    if !labels.iter().any(|l| l == label) {
+        labels.push(label.into());
+    }
+}
 
 /// One audited release.
 ///
@@ -54,18 +274,13 @@ impl AuditRecord {
     /// Total epsilon debited for this record (sequential composition over the
     /// batch, Theorem 3.3).
     pub fn total_epsilon(&self) -> f64 {
-        self.guarantee.epsilon() * self.trials as f64
+        batch_epsilon(self.guarantee, self.trials)
     }
 
-    /// The ledger view of this record, in the shape
-    /// `osdp_attack::verify_ledger` consumes.
+    /// The ledger view of this record.
     pub fn to_ledger_entry(&self) -> LedgerEntry {
         LedgerEntry {
-            label: if self.trials > 1 {
-                format!("{} x{}", self.mechanism, self.trials)
-            } else {
-                self.mechanism.to_string()
-            },
+            label: ledger_label(&self.mechanism, self.trials),
             policy: self.policy.to_string(),
             epsilon: self.total_epsilon(),
             guarantee: self.guarantee.kind(),
@@ -118,7 +333,7 @@ impl AuditKeyRef<'_> {
     /// The fixed-point debit of the release — the same ceiling conversion
     /// of the same f64 (`trials × ε`) the grant path admits.
     pub(crate) fn units(&self) -> u64 {
-        epsilon_to_units(self.guarantee.epsilon() * self.trials as f64)
+        epsilon_to_units(batch_epsilon(self.guarantee, self.trials))
     }
 }
 
@@ -164,6 +379,14 @@ impl AuditKey {
             policy_version: stamp >> VERSION_SHIFT,
         }
     }
+}
+
+/// One key of a log as verification sees it: how many rows name it, and
+/// the lowest index among them.
+struct KeyUse {
+    first: u64,
+    count: u64,
+    key: AuditKey,
 }
 
 /// One stored release: the packed stamp word (`index | version << 48`,
@@ -529,24 +752,6 @@ impl AuditLog {
         self.seq.load(Ordering::Acquire) >> VERSION_SHIFT
     }
 
-    /// Visits every stored release in release-index order with its stamp
-    /// word and key. Each shard is locked once, to copy its rows and clone
-    /// its key table (reference-count increments); the merged rows are
-    /// then stably sorted by index.
-    fn for_each_in_order(&self, mut visit: impl FnMut(u64, &AuditKey)) {
-        let mut keys = Vec::with_capacity(self.shards.len());
-        let mut rows: Vec<(u64, u32, u32)> = Vec::with_capacity(self.len());
-        for (slot, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock();
-            keys.push(shard.keys().to_vec());
-            rows.extend(shard.rows.iter().map(|row| (row.stamp, slot as u32, row.key)));
-        }
-        rows.sort_by_key(|&(stamp, ..)| stamp & INDEX_MASK);
-        for (stamp, slot, key) in rows {
-            visit(stamp, &keys[slot as usize][key as usize]);
-        }
-    }
-
     /// A snapshot of all records, merged from the shards, sorted into
     /// release order and rebuilt from rows and keys. **O(n)** in the
     /// number of audited releases — use [`AuditLog::len`] /
@@ -555,19 +760,20 @@ impl AuditLog {
     /// completed (an in-flight index may be absent until its appender
     /// finishes); a quiesced log snapshots exactly.
     pub fn records(&self) -> Vec<AuditRecord> {
-        let mut out = Vec::new();
-        self.records_into(&mut out);
-        out
-    }
-
-    /// [`AuditLog::records`] into a caller-provided buffer: `out` is
-    /// cleared and refilled, but its capacity is reused — repeated audits
-    /// (a pool-wide `verify_all_ledgers` sweep, a monitoring loop) merge
-    /// the shards without re-allocating the snapshot vector each time.
-    pub fn records_into(&self, out: &mut Vec<AuditRecord>) {
-        out.clear();
-        out.reserve(self.len());
-        self.for_each_in_order(|stamp, key| out.push(key.record(stamp)));
+        // Each shard is locked once, to copy its rows and clone its key
+        // table (reference-count increments); the merged rows are then
+        // stably sorted by index.
+        let mut keys = Vec::with_capacity(self.shards.len());
+        let mut rows: Vec<(u64, u32, u32)> = Vec::with_capacity(self.len());
+        for (slot, shard) in self.shards.iter().enumerate() {
+            let shard = shard.lock();
+            keys.push(shard.keys().to_vec());
+            rows.extend(shard.rows.iter().map(|row| (row.stamp, slot as u32, row.key)));
+        }
+        rows.sort_by_key(|&(stamp, ..)| stamp & INDEX_MASK);
+        rows.into_iter()
+            .map(|(stamp, slot, key)| keys[slot as usize][key as usize].record(stamp))
+            .collect()
     }
 
     /// The `(index, version)` stamp of every audited release, in release
@@ -623,68 +829,110 @@ impl AuditLog {
         self.shards.iter().fold(self.base_units, |sum, shard| sum.wrapping_add(shard.lock().units))
     }
 
-    /// O(shards) budget check: whether the log's total ε respects `limit`
-    /// (vacuously true without one). Compared in fixed-point units — the
-    /// same integers the accountant's cap enforcement uses, so the verdict
-    /// never drifts from the grant path's. The iteration-free half of
-    /// `osdp_attack::verify_ledger` — the full structural verdict still
-    /// consumes the [`AuditLog::ledger`] snapshot.
-    pub fn within_limit(&self, limit: Option<f64>) -> bool {
-        limit.is_none_or(|l| self.total_epsilon_units() <= epsilon_to_units(l))
-    }
-
-    /// The ledger view of the whole log (recovered-base entries first, then
-    /// one entry per live audited release, in release order), consumable by
-    /// `osdp_attack::verify_ledger`. O(n), like the [`AuditLog::records`]
-    /// snapshot it is derived from.
+    /// The ledger view of the whole log: recovered-base entries first,
+    /// then one entry per live audited release, in release order. O(n),
+    /// like the [`AuditLog::records`] snapshot it is derived from.
     pub fn ledger(&self) -> Vec<LedgerEntry> {
-        let mut scratch = Vec::new();
-        self.ledger_with(&mut scratch)
+        let live = self.records().into_iter().map(|r| r.to_ledger_entry());
+        self.base.iter().cloned().chain(live).collect()
     }
 
-    /// [`AuditLog::ledger`] with a caller-provided scratch buffer for the
-    /// intermediate record snapshot: a sweep over many sessions reuses one
-    /// allocation instead of building and dropping a full record vector per
-    /// log.
-    pub fn ledger_with(&self, scratch: &mut Vec<AuditRecord>) -> Vec<LedgerEntry> {
-        self.records_into(scratch);
-        let mut out = Vec::with_capacity(self.base.len() + scratch.len());
-        out.extend(self.base.iter().cloned());
-        out.extend(scratch.iter().map(AuditRecord::to_ledger_entry));
-        out
+    /// Every key named by a row indexed below `seen`, with its row count
+    /// and lowest index, in first-use order; `visit` sees each such row's
+    /// `(index, version)` stamp. Each shard is locked once, and a key's
+    /// labels are shared, not copied.
+    fn key_uses(&self, seen: u64, mut visit: impl FnMut(u64, u64)) -> Vec<KeyUse> {
+        let mut uses = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.lock();
+            let start = uses.len();
+            uses.extend(shard.keys().iter().map(|key| KeyUse {
+                first: u64::MAX,
+                count: 0,
+                key: key.clone(),
+            }));
+            for row in &shard.rows {
+                let index = row.stamp & INDEX_MASK;
+                if index < seen {
+                    visit(index, row.stamp >> VERSION_SHIFT);
+                    let used = &mut uses[start + row.key as usize];
+                    used.count += 1;
+                    used.first = used.first.min(index);
+                }
+            }
+        }
+        uses.retain(|used| used.count > 0);
+        uses.sort_by_key(|used| used.first);
+        uses
     }
 
-    /// [`AuditLog::ledger_with`] and [`AuditLog::release_stamps`] from
-    /// **one** merge of the shards: both halves of the versioned ledger
-    /// audit (`osdp_attack::verify_ledger_versioned`). The stamps are read
-    /// off the same snapshot as the ledger, so they describe exactly the
-    /// same releases even while appends are in flight.
-    pub fn ledger_and_stamps_with(
-        &self,
-        scratch: &mut Vec<AuditRecord>,
-    ) -> (Vec<LedgerEntry>, Vec<ReleaseStamp>) {
-        let ledger = self.ledger_with(scratch);
-        let stamps = scratch
-            .iter()
-            .map(|r| ReleaseStamp { seq: r.index, version: r.policy_version })
-            .collect();
-        (ledger, stamps)
+    /// The distinct policy labels of the recovered base rows (in snapshot
+    /// order), then of the keys in `uses` order.
+    fn distinct_policies(&self, uses: &[KeyUse]) -> Vec<String> {
+        let mut labels = Vec::new();
+        self.base.iter().for_each(|e| push_distinct(&mut labels, &e.policy));
+        uses.iter().for_each(|used| push_distinct(&mut labels, &used.key.policy));
+        labels
     }
 
     /// The distinct policy labels of the log in first-use order: the
     /// recovered base rows (in snapshot order), then the releases in index
     /// order — the labels whose minimum relaxation the composed guarantee
-    /// refers to (Theorem 3.3). O(n), like [`AuditLog::records`].
+    /// refers to (Theorem 3.3). O(n) in the rows, allocating per distinct
+    /// key and label.
     pub fn policy_labels(&self) -> Vec<String> {
-        let mut labels: Vec<String> = Vec::new();
-        let mut note = |policy: &str| {
-            if !labels.iter().any(|l| l == policy) {
-                labels.push(policy.to_string());
+        self.distinct_policies(&self.key_uses(u64::MAX, |_, _| {}))
+    }
+
+    /// Verifies the log in one fold over each shard's rows, the recovered
+    /// base included (see [`LedgerVerdict`]): budget conservation under
+    /// sequential composition, summed in fixed-point units and compared
+    /// exactly with `limit`'s units, plus the stale-policy and
+    /// stamp-monotonicity checks over the history `transitions` returns.
+    /// Allocates per distinct key, policy and epoch version, never per
+    /// release.
+    ///
+    /// `transitions` is called after the log's length is read, and only
+    /// releases indexed below that length are verified: any version they
+    /// carry was installed before the call, so a transition racing the
+    /// verification cannot leave a stamp without its history.
+    pub(crate) fn verify(
+        &self,
+        limit: Option<f64>,
+        transitions: impl FnOnce() -> Vec<EpochTransition>,
+    ) -> LedgerVerdict {
+        let seen = self.len() as u64;
+        let mut epochs = EpochCheck::new(&transitions());
+        let uses = self.key_uses(seen, |index, version| epochs.visit(index, version));
+        // Saturating: an overflowing total is over any cap.
+        let units = uses.iter().fold(self.base_units, |sum, KeyUse { count, key, .. }| {
+            let debit = epsilon_to_units(batch_epsilon(key.guarantee, key.trials));
+            sum.saturating_add(count.saturating_mul(debit))
+        });
+        // Every release as (kind, ε, mechanism, trials): base rows (whose
+        // label stands for the mechanism), then keys.
+        let base = self.base.iter().map(|e| (e.guarantee, e.epsilon, &*e.label, 1));
+        let live = uses.iter().map(|KeyUse { key, .. }| {
+            let epsilon = batch_epsilon(key.guarantee, key.trials);
+            (key.guarantee.kind(), epsilon, &*key.mechanism, key.trials)
+        });
+        let releases: Vec<_> = base.chain(live).collect();
+        let mut pdp_entries = Vec::new();
+        for &(kind, _, mechanism, trials) in &releases {
+            if kind == PrivacyGuarantee::Personalized {
+                push_distinct(&mut pdp_entries, &ledger_label(mechanism, trials));
             }
-        };
-        self.base.iter().for_each(|e| note(&e.policy));
-        self.for_each_in_order(|_, key| note(&key.policy));
-        labels
+        }
+        LedgerVerdict {
+            total_epsilon: units_to_epsilon(units),
+            policies: self.distinct_policies(&uses),
+            is_pure_dp: !releases.is_empty()
+                && releases.iter().all(|r| r.0 == PrivacyGuarantee::DifferentialPrivacy),
+            within_limit: limit.is_none_or(|l| units <= epsilon_to_units(l)),
+            worst_exclusion_phi: releases.iter().map(|r| r.1).fold(0.0, f64::max),
+            pdp_entries,
+            epochs: epochs.verdict(),
+        }
     }
 
     /// The log as a JSON array.
@@ -704,7 +952,7 @@ impl AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osdp_core::PrivacyGuarantee;
+    use proptest::prelude::*;
 
     fn record(index: u64, trials: usize) -> AuditRecord {
         AuditRecord {
@@ -758,9 +1006,9 @@ mod tests {
         assert_eq!(indices, (0..32).collect::<Vec<u64>>(), "dense, merged in order");
         let expected: f64 = records.iter().map(AuditRecord::total_epsilon).sum();
         assert!((log.total_epsilon() - expected).abs() < 1e-9);
-        assert!(log.within_limit(Some(expected + 1.0)));
-        assert!(!log.within_limit(Some(expected - 1.0)));
-        assert!(log.within_limit(None));
+        assert!(log.verify(Some(expected + 1.0), Vec::new).within_limit);
+        assert!(!log.verify(Some(expected - 1.0), Vec::new).within_limit);
+        assert!(log.verify(None, Vec::new).within_limit);
     }
 
     #[test]
@@ -795,18 +1043,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_buffer_snapshots_match_the_allocating_ones() {
+    fn a_single_thread_appends_to_one_shard() {
         let log = AuditLog::new();
         for trials in 1..=3 {
             log.append_versioned(|index, _| record(index, trials));
         }
-        let mut scratch = Vec::new();
-        log.records_into(&mut scratch);
-        assert_eq!(scratch, log.records());
-        let held = scratch.capacity();
-        assert_eq!(log.ledger_with(&mut scratch), log.ledger());
-        assert!(scratch.capacity() >= held, "capacity is reused, not dropped");
-        // This thread appended every record into one shard.
         let lens = log.shard_lens();
         assert_eq!(lens.len(), 16);
         assert_eq!(lens.iter().sum::<usize>(), 3);
@@ -967,10 +1208,25 @@ mod tests {
             assert_eq!(log.policy_labels(), self.policy_labels());
             assert_eq!(log.to_json(), self.to_json());
             assert_eq!(log.release_stamps(), self.release_stamps());
-            let (ledger, stamps) = log.ledger_and_stamps_with(&mut Vec::new());
-            assert_eq!((ledger, stamps), (self.ledger(), self.release_stamps()));
             let units: u64 = self.records.iter().map(|r| r.key().units()).sum();
             assert_eq!(log.total_epsilon_units(), self.base_units() + units);
+            // The verifier's fold gives the owned ledger's verdict.
+            let verdict = log.verify(None, Vec::new);
+            let ledger = self.ledger();
+            assert_eq!(verdict.total_epsilon, units_to_epsilon(self.base_units() + units));
+            assert_eq!(verdict.policies, self.policy_labels());
+            let kinds = || ledger.iter().map(|e| e.guarantee);
+            let pure = !ledger.is_empty()
+                && kinds().all(|kind| kind == PrivacyGuarantee::DifferentialPrivacy);
+            assert_eq!(verdict.is_pure_dp, pure);
+            let phi = ledger.iter().map(|e| e.epsilon).fold(0.0, f64::max);
+            assert_eq!(verdict.worst_exclusion_phi, phi);
+            let mut pdp = Vec::new();
+            for e in ledger.iter().filter(|e| e.guarantee == PrivacyGuarantee::Personalized) {
+                push_distinct(&mut pdp, &e.label);
+            }
+            assert_eq!(verdict.pdp_entries, pdp);
+            assert_eq!(verdict.epochs, verify_epoch_stamps(&self.release_stamps(), &[]));
         }
 
         /// The units seeded into a recovered log (its base entries).
@@ -979,8 +1235,8 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The row store reproduces an owned-record log exactly: 4–8
         /// threads append random tuples while another bumps the version,
@@ -1086,5 +1342,324 @@ mod tests {
         });
         assert_eq!(key_count(&log), 10_000);
         assert_eq!(log.records().last().unwrap().query.as_ref(), "query-0");
+    }
+
+    /// Appends one release of `mechanism` under `policy` to `log`.
+    fn append(log: &AuditLog, mechanism: &str, policy: &str, guarantee: Guarantee, trials: usize) {
+        log.append_versioned(|index, version| AuditRecord {
+            index,
+            mechanism: mechanism.into(),
+            policy: policy.into(),
+            query: "q".into(),
+            bins: 8,
+            trials,
+            guarantee,
+            policy_version: version,
+        });
+    }
+
+    #[test]
+    fn sequential_composition_sums_units_and_dedups_policies() {
+        let log = AuditLog::new();
+        append(&log, "OsdpRR", "P99", Guarantee::Osdp { eps: 0.375 }, 1);
+        append(&log, "DAWA", "Pall", Guarantee::Dp { eps: 0.25 }, 2);
+        append(&log, "OsdpLaplaceL1", "P99", Guarantee::Osdp { eps: 0.125 }, 1);
+        let verdict = log.verify(Some(1.0), Vec::new);
+        assert_eq!(verdict.total_epsilon, units_to_epsilon(log.total_epsilon_units()));
+        assert!((verdict.total_epsilon - 1.0).abs() < 1e-12);
+        assert_eq!(verdict.policies, ["P99", "Pall"]);
+        assert!(verdict.within_limit);
+        assert!(!verdict.is_pure_dp);
+        assert!(verdict.upholds_osdp());
+        assert_eq!(verdict.worst_exclusion_phi, 0.5, "the 2-trial DAWA batch");
+    }
+
+    #[test]
+    fn over_limit_logs_fail_to_the_unit() {
+        let log = AuditLog::new();
+        append(&log, "m", "P", Guarantee::Osdp { eps: 1.5 }, 1);
+        let verdict = log.verify(Some(1.0), Vec::new);
+        assert!(!verdict.within_limit);
+        assert!(!verdict.upholds_osdp());
+        assert!(log.verify(None, Vec::new).within_limit, "no cap, no violation");
+        // The cap is compared in fixed-point units: the exact total passes,
+        // and 500 units (5e-10 ε) less fails.
+        let spent = log.total_epsilon_units();
+        assert!(log.verify(Some(1.5), Vec::new).within_limit);
+        assert!(!log.verify(Some(units_to_epsilon(spent - 500)), Vec::new).within_limit);
+    }
+
+    #[test]
+    fn pdp_releases_are_the_exclusion_attack_surface() {
+        let base = vec![LedgerEntry {
+            label: "Suppress10 [recovered]".into(),
+            policy: "P90".into(),
+            epsilon: 10.0,
+            guarantee: PrivacyGuarantee::Personalized,
+        }];
+        let log = AuditLog::recovered(1, 0, epsilon_to_units(10.0), base);
+        append(&log, "OsdpLaplaceL1", "P90", Guarantee::Osdp { eps: 1.0 }, 1);
+        for trials in [1, 1, 2, 1] {
+            append(&log, "Suppress100", "P90", Guarantee::Pdp { eps: 100.0 }, trials);
+        }
+        let verdict = log.verify(None, Vec::new);
+        assert_eq!(
+            verdict.pdp_entries,
+            ["Suppress10 [recovered]", "Suppress100", "Suppress100 x2"],
+            "one entry per distinct label, in first-use order"
+        );
+        assert!(!verdict.upholds_osdp());
+        assert_eq!(verdict.worst_exclusion_phi, 200.0);
+    }
+
+    #[test]
+    fn pure_dp_logs_are_recognised() {
+        let log = AuditLog::new();
+        assert!(!log.verify(None, Vec::new).is_pure_dp, "an empty log proves nothing");
+        append(&log, "Laplace", "Pall", Guarantee::Dp { eps: 0.3 }, 1);
+        append(&log, "DAWA", "Pall", Guarantee::Dp { eps: 0.3 }, 1);
+        assert!(log.verify(None, Vec::new).is_pure_dp);
+        append(&log, "OsdpRR", "Pall", Guarantee::Osdp { eps: 0.3 }, 1);
+        assert!(!log.verify(None, Vec::new).is_pure_dp);
+    }
+
+    fn tighten(version: u64, boundary_seq: u64) -> EpochTransition {
+        EpochTransition { version, boundary_seq, relaxes: false, label: format!("P-v{version}") }
+    }
+
+    fn relax(version: u64, boundary_seq: u64) -> EpochTransition {
+        EpochTransition { version, boundary_seq, relaxes: true, label: format!("P-v{version}") }
+    }
+
+    fn stamps_for(boundaries: &[u64], total: u64) -> Vec<ReleaseStamp> {
+        // The honest stamping an engine session produces: each seq carries
+        // the highest version whose boundary covers it.
+        (0..total)
+            .map(|seq| ReleaseStamp {
+                seq,
+                version: boundaries.iter().filter(|&&b| b <= seq).count() as u64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn honest_multi_epoch_histories_verify_clean() {
+        // v1 tightens at seq 3 (decay), v2 relaxes at seq 7 (consent),
+        // v3 tightens again at seq 7 (an empty v2 window is legal).
+        let transitions = vec![tighten(1, 3), relax(2, 7), tighten(3, 7)];
+        let stamps = stamps_for(&[3, 7, 7], 12);
+        let verdict = verify_epoch_stamps(&stamps, &transitions);
+        assert!(verdict.consistent(), "{verdict:?}");
+        assert_eq!(verdict.versions, 4);
+        assert!(verdict.monotone);
+        // A log stamped by the same bumps folds to the same verdict.
+        let log = AuditLog::new();
+        for seq in 0..12 {
+            if seq == 3 || seq == 7 {
+                log.bump_version().unwrap();
+            }
+            if seq == 7 {
+                log.bump_version().unwrap();
+                log.bump_version().unwrap();
+            }
+            append(&log, "OsdpRR", "P", Guarantee::Osdp { eps: 0.1 }, 1);
+        }
+        // The log's own bumps: v1 at 3, v2 and v3 at 7, v4 at 7.
+        let bumped = vec![tighten(1, 3), relax(2, 7), tighten(3, 7), tighten(4, 7)];
+        assert_eq!(log.release_stamps(), stamps_for(&[3, 7, 7, 7], 12));
+        let full = log.verify(Some(2.0), || bumped.clone());
+        assert!(full.upholds_osdp());
+        assert_eq!(full.epochs, verify_epoch_stamps(&log.release_stamps(), &bumped));
+        // Static-policy sessions: empty history, stamps all zero.
+        assert!(verify_epoch_stamps(&stamps_for(&[], 5), &[]).consistent());
+    }
+
+    #[test]
+    fn stale_policy_replay_is_rejected() {
+        // Honest history: a tighten lands at seq 4. Seed a stale-policy
+        // replay by serving seq 6 under the pre-tighten epoch (version 0,
+        // level 0 > level -1 in force): the verifier must reject it.
+        let transitions = vec![tighten(1, 4)];
+        let mut stamps = stamps_for(&[4], 8);
+        stamps[6].version = 0;
+        let verdict = verify_epoch_stamps(&stamps, &transitions);
+        assert_eq!(verdict.stale_releases, vec![6]);
+        assert!(!verdict.monotone, "the replay also breaks stamp monotonicity");
+        assert!(!verdict.consistent());
+        // The same replay restored into a log's rows fails its verdict.
+        let log = AuditLog::recovered(0, 1, 0, Vec::new());
+        for stamp in stamps.iter().rev() {
+            let mut r = record(stamp.seq, 1);
+            r.policy_version = stamp.version;
+            log.restore(r, epsilon_to_units(0.5));
+        }
+        let full = log.verify(None, || transitions.clone());
+        assert_eq!(full.epochs, verdict);
+        assert!(!full.upholds_osdp());
+    }
+
+    #[test]
+    fn tighter_than_in_force_stamps_are_not_violations() {
+        // A relax lands at seq 4; a release stamped with the *pre-relax*
+        // (tighter) epoch afterwards leaked less than it was entitled to.
+        let transitions = vec![relax(1, 4)];
+        let mut stamps = stamps_for(&[4], 8);
+        stamps[5].version = 0;
+        let verdict = verify_epoch_stamps(&stamps, &transitions);
+        assert!(verdict.stale_releases.is_empty(), "tighter stamps are allowed");
+        assert!(!verdict.monotone, "but the structural invariant still flags it");
+    }
+
+    #[test]
+    fn unknown_versions_and_gapped_histories_fail_closed() {
+        // A stamp the lifecycle never issued is a violation...
+        let transitions = vec![tighten(1, 2)];
+        let stamps = vec![ReleaseStamp { seq: 3, version: 9 }];
+        let verdict = verify_epoch_stamps(&stamps, &transitions);
+        assert_eq!(verdict.stale_releases, vec![3]);
+        assert!(!verdict.consistent());
+        // ...and a history with a version gap is never trusted, even when
+        // no stamp lands past the gap.
+        let gapped = vec![tighten(1, 2), tighten(3, 5)];
+        let verdict = verify_epoch_stamps(&stamps_for(&[2], 4), &gapped);
+        assert!(!verdict.history_dense);
+        assert!(!verdict.consistent());
+    }
+
+    /// The test oracle of [`verify_epoch_stamps`]: the version in force
+    /// found by scanning every boundary for every stamp, and monotonicity
+    /// checked over every pair of stamps.
+    fn verify_epoch_stamps_linear(
+        stamps: &[ReleaseStamp],
+        transitions: &[EpochTransition],
+    ) -> EpochVerdict {
+        let mut sorted: Vec<&EpochTransition> = transitions.iter().collect();
+        sorted.sort_by_key(|t| (t.version, t.boundary_seq));
+        let chain: Vec<&EpochTransition> = sorted
+            .into_iter()
+            .enumerate()
+            .take_while(|(i, t)| t.version == *i as u64 + 1)
+            .map(|(_, t)| t)
+            .collect();
+        let level = |version: u64| {
+            let known = chain.get(..version as usize)?;
+            Some(known.iter().map(|t| if t.relaxes { 1 } else { -1 }).sum::<i64>())
+        };
+        let in_force = |seq: u64| {
+            chain.iter().filter(|t| t.boundary_seq <= seq).map(|t| t.version).max().unwrap_or(0)
+        };
+        let mut stale_releases: Vec<u64> = stamps
+            .iter()
+            .filter(|s| level(s.version).is_none_or(|l| Some(l) > level(in_force(s.seq))))
+            .map(|s| s.seq)
+            .collect();
+        stale_releases.sort_unstable();
+        stale_releases.dedup();
+        let monotone =
+            stamps.iter().all(|a| stamps.iter().all(|b| a.seq >= b.seq || a.version <= b.version));
+        EpochVerdict {
+            versions: chain.len() as u64 + 1,
+            stale_releases,
+            monotone,
+            history_dense: chain.len() == transitions.len(),
+        }
+    }
+
+    fn stamps_of(pairs: &[(u64, u64)]) -> Vec<ReleaseStamp> {
+        pairs.iter().map(|&(seq, version)| ReleaseStamp { seq, version }).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The suffix-minimum lookup and the version ranges give the
+        /// oracle's verdict on any history: gapped or duplicated versions,
+        /// non-monotone boundaries, repeated sequence numbers, and stamps
+        /// carrying versions the history never issued.
+        #[test]
+        fn the_stamp_fold_matches_the_linear_oracle(
+            history in prop::collection::vec((1u64..9, 0u64..40, 0u8..2), 0..10),
+            stamps in prop::collection::vec((0u64..48, 0u64..11), 0..40),
+        ) {
+            let transitions: Vec<EpochTransition> = history
+                .iter()
+                .map(|&(version, boundary_seq, relaxes)| EpochTransition {
+                    version,
+                    boundary_seq,
+                    relaxes: relaxes == 1,
+                    label: format!("P-v{version}"),
+                })
+                .collect();
+            let stamps = stamps_of(&stamps);
+            prop_assert_eq!(
+                verify_epoch_stamps(&stamps, &transitions),
+                verify_epoch_stamps_linear(&stamps, &transitions)
+            );
+        }
+
+        /// The same on dense histories (versions 1..=n in some order), so
+        /// the lookup is exercised past the first version, not only cut
+        /// short by a gap.
+        #[test]
+        fn the_stamp_fold_matches_on_dense_histories(
+            boundaries in prop::collection::vec((0u64..40, 0u8..2), 0..12),
+            rotate in 0usize..12,
+            stamps in prop::collection::vec((0u64..48, 0u64..14), 0..40),
+        ) {
+            let mut transitions: Vec<EpochTransition> = boundaries
+                .iter()
+                .enumerate()
+                .map(|(i, &(boundary_seq, relaxes))| EpochTransition {
+                    version: i as u64 + 1,
+                    boundary_seq,
+                    relaxes: relaxes == 1,
+                    label: format!("P-v{}", i + 1),
+                })
+                .collect();
+            if !transitions.is_empty() {
+                let by = rotate % transitions.len();
+                transitions.rotate_left(by);
+            }
+            let stamps = stamps_of(&stamps);
+            let verdict = verify_epoch_stamps(&stamps, &transitions);
+            prop_assert!(verdict.history_dense);
+            prop_assert_eq!(verdict, verify_epoch_stamps_linear(&stamps, &transitions));
+        }
+
+        /// A log's rows, restored in any order and from several threads
+        /// (so across shards), fold to the verdict of their stamps.
+        #[test]
+        fn a_logs_rows_fold_like_its_stamps(
+            boundaries in prop::collection::vec((0u64..40, 0u8..2), 0..6),
+            stamps in prop::collection::vec((0u64..48, 0u64..8), 1..40),
+        ) {
+            let transitions: Vec<EpochTransition> = boundaries
+                .iter()
+                .enumerate()
+                .map(|(i, &(boundary_seq, relaxes))| EpochTransition {
+                    version: i as u64 + 1,
+                    boundary_seq,
+                    relaxes: relaxes == 1,
+                    label: format!("P-v{}", i + 1),
+                })
+                .collect();
+            let stamps = stamps_of(&stamps);
+            let log = AuditLog::recovered(0, 7, 0, Vec::new());
+            std::thread::scope(|scope| {
+                for part in stamps.chunks(stamps.len().div_ceil(3)) {
+                    let log = &log;
+                    scope.spawn(move || {
+                        for stamp in part {
+                            let mut r = record(stamp.seq, 1);
+                            r.policy_version = stamp.version;
+                            log.restore(r, epsilon_to_units(0.5));
+                        }
+                    });
+                }
+            });
+            let verdict = log.verify(None, || transitions.clone());
+            prop_assert_eq!(verdict.epochs, verify_epoch_stamps(&stamps, &transitions));
+            prop_assert_eq!(verdict.total_epsilon, units_to_epsilon(log.total_epsilon_units()));
+        }
     }
 }

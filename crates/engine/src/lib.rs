@@ -35,8 +35,8 @@
 //!   [`OsdpSession::composed_guarantee`] reports the total ε together with
 //!   the policy labels the composite guarantee refers to;
 //! * an **audit log** ([`AuditLog`]) of every release — mechanism, policy,
-//!   query, guarantee — whose ledger view is consumable by
-//!   `osdp_attack::verify_ledger`. The audit log (plus the WAL, for durable
+//!   query, guarantee — which [`OsdpSession::verify_policy_lifecycle`]
+//!   verifies by folding its rows. The audit log (plus the WAL, for durable
 //!   sessions) is the **ledger of record**: the accountant keeps only its
 //!   cap and an atomic counter, and the composed guarantee's policy labels
 //!   are read from the audit log;
@@ -165,8 +165,7 @@
 //!   new epoch or carries the old epoch's stamp, never a mix.
 //! * **Every audit record stamps `(policy label, version)`** — allocated
 //!   atomically with the release index, so stamps are monotone in index
-//!   order. `osdp_attack::verify_ledger_versioned` (exposed as
-//!   [`OsdpSession::verify_policy_lifecycle`]) proves no release was
+//!   order. [`OsdpSession::verify_policy_lifecycle`] proves no release was
 //!   served under a **more permissive** policy than the one in force at
 //!   its sequence number; a stale-policy replay is rejected. Durable
 //!   sessions log each transition as a WAL record, so recovery
@@ -344,7 +343,8 @@
 //! and truncates the file there), and seeds a fresh accountant + audit
 //! log whose counters equal the pre-crash ones **bit for bit** — integer
 //! unit addition commutes, so replay order cannot drift the totals and
-//! `osdp_attack::verify_ledger` balances over the recovered state. The
+//! [`OsdpSession::verify_policy_lifecycle`] balances over the recovered
+//! state. The
 //! replayed grants reach the audit log as rows over its key table, and
 //! frames that repeat their predecessor's labels share them, so a tail of
 //! one tenant's releases costs no allocation per frame.
@@ -473,11 +473,9 @@ pub(crate) mod sharding;
 pub mod stream;
 pub mod supervisor;
 
-pub use audit::{AuditLog, AuditRecord};
+pub use audit::{verify_epoch_stamps, AuditLog, AuditRecord, LedgerVerdict};
+pub use audit::{EpochTransition, EpochVerdict, ReleaseStamp};
 pub use backend::{Backend, ColumnarBackend, HistogramPair, QueryPlan, RowBackend};
-pub use osdp_attack::{
-    verify_epoch_stamps, EpochTransition, EpochVerdict, LedgerVerdict, ReleaseStamp,
-};
 pub use osdp_core::policy::{EpochDirection, PolicyEpoch, VersionedPolicy};
 pub use osdp_persist::{GroupCommitStats, LedgerOptions, RecoveryReport, RetryPolicy, SyncPolicy};
 pub use persist::{GrantEvent, RecoveredSession, SessionPersistence, SessionWal};

@@ -28,10 +28,10 @@
 //! health map or on any tenant's cell. Once the last failing tenant heals
 //! (or succeeds again), releases are back on that path.
 
+use crate::audit::{EpochTransition, LedgerVerdict};
 use crate::persist::SessionPersistence;
 use crate::session::{OsdpSession, PoolRelease, Release, SessionBuilder, SessionQuery};
 use crate::sharding::shard_index;
-use osdp_attack::LedgerVerdict;
 use osdp_core::error::{FaultClass, OsdpError, PersistError, PersistOp, Result};
 use osdp_core::{Histogram, Record};
 use osdp_mechanisms::HistogramMechanism;
@@ -769,8 +769,8 @@ impl<R> SessionPool<R> {
     /// so every grant they win lands in the *returned* session's accountant
     /// and audit log — nothing is lost, but the tenant is no longer visible
     /// to [`SessionPool::verify_all_ledgers`]. The operator therefore owns
-    /// the final audit: run `osdp_attack::verify_ledger` on the returned
-    /// session once its traffic has drained (or use
+    /// the final audit: run [`OsdpSession::verify_policy_lifecycle`] on the
+    /// returned session once its traffic has drained (or use
     /// [`SessionPool::remove_quiesced`], which waits for the drain).
     /// Tested in `tests/concurrent_sessions.rs`.
     pub fn remove(&self, tenant: &str) -> Option<Arc<OsdpSession<R>>> {
@@ -905,7 +905,7 @@ impl<R> SessionPool<R> {
         policy: Arc<dyn osdp_core::policy::Policy<R>>,
         label: impl Into<String>,
         direction: osdp_core::policy::EpochDirection,
-    ) -> Result<osdp_attack::EpochTransition> {
+    ) -> Result<EpochTransition> {
         self.admit(tenant)?;
         let result = match self.session(tenant) {
             Ok(session) => session.set_policy_epoch(policy, label, direction),
@@ -915,26 +915,16 @@ impl<R> SessionPool<R> {
     }
 
     /// Verifies **every** tenant's audit ledger against its own budget cap
-    /// (`osdp_attack::verify_ledger_versioned`): budget conservation plus
+    /// ([`OsdpSession::verify_policy_lifecycle`]): budget conservation plus
     /// the stale-policy and version-stamp-monotonicity checks over the
     /// tenant's epoch history. Returns one verdict per tenant plus the
-    /// parallel-composition total. O(total releases); each tenant's audit
-    /// log is merged once for both the ledger and the stamps, and the merge
-    /// scratch is reused across tenants, so the sweep allocates one record
-    /// buffer for the whole pool instead of one per tenant.
+    /// parallel-composition total. O(total releases), folding each tenant's
+    /// audit rows in place: it allocates per tenant and distinct key, not
+    /// per release.
     pub fn verify_all_ledgers(&self) -> PoolVerdict {
-        let mut scratch = Vec::new();
-        let mut tenants = self.for_each_session(|tenant, session| {
-            let (ledger, stamps) = session.audit_log().ledger_and_stamps_with(&mut scratch);
-            TenantVerdict {
-                tenant,
-                verdict: osdp_attack::verify_ledger_versioned(
-                    &ledger,
-                    session.accountant().limit(),
-                    &stamps,
-                    &session.epoch_transitions(),
-                ),
-            }
+        let mut tenants = self.for_each_session(|tenant, session| TenantVerdict {
+            tenant,
+            verdict: session.verify_policy_lifecycle(session.accountant().limit()),
         });
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         let parallel_epsilon = tenants.iter().map(|t| t.verdict.total_epsilon).fold(0.0, f64::max);

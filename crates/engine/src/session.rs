@@ -1,11 +1,12 @@
 //! [`OsdpSession`]: the budget-enforced, policy-aware release path.
 
-use crate::audit::{AuditKeyRef, AuditLog, AuditRecord};
+use crate::audit::{
+    AuditKeyRef, AuditLog, AuditRecord, EpochTransition, LedgerVerdict, ReleaseStamp,
+};
 use crate::backend::{Backend, ColumnarBackend, HistogramPair, QueryPlan, RowBackend};
 use crate::cache::{TaskCache, TaskIdentity};
 use crate::intern::Interner;
 use crate::persist::{GrantEvent, SessionPersistence, SessionWal};
-use osdp_attack::{EpochTransition, ReleaseStamp};
 use osdp_core::budget::epsilon_to_units;
 use osdp_core::error::{validate_epsilon, OsdpError, Result};
 use osdp_core::frame::{BinSpec, ColumnarFrame, PAIR_BIN_FIELD, PAIR_FLAG_FIELD};
@@ -45,7 +46,7 @@ struct EpochHistory<R> {
     /// cross-version minimum relaxation (Definitions 3.5/3.6 over time).
     registry: VersionedPolicy<R>,
     /// Applied + recovered transition metadata in version order — exactly
-    /// what [`osdp_attack::verify_epoch_stamps`] consumes.
+    /// what [`crate::verify_epoch_stamps`] consumes.
     transitions: Vec<EpochTransition>,
     /// The engine version of registry index 0. Non-zero after recovery:
     /// pre-crash epochs exist as durable metadata in `transitions`, but
@@ -689,9 +690,7 @@ impl<R> OsdpSession<R> {
     }
 
     /// The session's audit log — shard-length probes
-    /// ([`AuditLog::shard_lens`]) and allocation-reusing snapshots
-    /// ([`AuditLog::records_into`], [`AuditLog::ledger_with`]) for sweeps
-    /// over many sessions.
+    /// ([`AuditLog::shard_lens`]) and snapshots ([`AuditLog::records`]).
     pub fn audit_log(&self) -> &AuditLog {
         &self.audit
     }
@@ -760,8 +759,8 @@ impl<R> OsdpSession<R> {
         self.audit.total_epsilon_units()
     }
 
-    /// The audit log's ledger view, consumable by
-    /// `osdp_attack::verify_ledger`.
+    /// The audit log's ledger view ([`AuditLog::ledger`]); verify the
+    /// ledger with [`OsdpSession::verify_policy_lifecycle`].
     pub fn audit_ledger(&self) -> Vec<osdp_core::budget::LedgerEntry> {
         self.audit.ledger()
     }
@@ -1293,7 +1292,7 @@ impl<R> OsdpSession<R> {
 
     /// Every epoch transition this session has performed **or recovered**,
     /// in version order — the history half of the stale-policy audit
-    /// ([`osdp_attack::verify_epoch_stamps`]). Empty for histogram-backed
+    /// ([`crate::verify_epoch_stamps`]). Empty for histogram-backed
     /// and never-transitioned sessions.
     pub fn epoch_transitions(&self) -> Vec<EpochTransition> {
         match &self.source {
@@ -1308,14 +1307,14 @@ impl<R> OsdpSession<R> {
         self.audit.release_stamps()
     }
 
-    /// Runs the full versioned ledger audit over this session's own records:
-    /// budget conservation ([`osdp_attack::verify_ledger`]) plus the
+    /// Verifies this session's audit log against `limit` and its own epoch
+    /// history, folding the log's rows in place (see [`LedgerVerdict`]):
+    /// budget conservation under sequential composition plus the
     /// stale-policy and stamp-monotonicity checks. A session whose verdict
-    /// fails [`osdp_attack::LedgerVerdict::upholds_osdp`] served a release
-    /// it should not have.
-    pub fn verify_policy_lifecycle(&self, limit: Option<f64>) -> osdp_attack::LedgerVerdict {
-        let (ledger, stamps) = self.audit.ledger_and_stamps_with(&mut Vec::new());
-        osdp_attack::verify_ledger_versioned(&ledger, limit, &stamps, &self.epoch_transitions())
+    /// fails [`LedgerVerdict::upholds_osdp`] served a release it should not
+    /// have.
+    pub fn verify_policy_lifecycle(&self, limit: Option<f64>) -> LedgerVerdict {
+        self.audit.verify(limit, || self.epoch_transitions())
     }
 
     /// The minimum relaxation across the session's **epoch history**

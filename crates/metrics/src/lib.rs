@@ -25,6 +25,7 @@ pub mod table;
 pub use auc_summary::AucSummary;
 pub use lp::{l1_error, l2_error, scaled_l1_error};
 pub use mre::{mean_relative_error, mean_relative_error_with_delta, sparse_mre_with_background};
+pub use osdp_core::{json_number, json_string};
 pub use regret::{regret, RegretTable};
 pub use relative::{per_bin_relative_error, relative_error_percentile, REL50, REL95};
-pub use table::{json_number, json_string, ResultRow, ResultTable};
+pub use table::{ResultRow, ResultTable};

@@ -6,6 +6,7 @@
 //! binaries print), as Markdown (what EXPERIMENTS.md embeds), or serialised
 //! to JSON by the experiments crate.
 
+use osdp_core::{json_number, json_string};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -195,37 +196,6 @@ impl ResultTable {
             out.push_str(&format!("| {} |\n", cells.join(" | ")));
         }
         out
-    }
-}
-
-/// Escapes a string as a JSON string literal (with quotes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Ensure integral floats stay valid JSON numbers (they do: `42`).
-        s
-    } else {
-        "null".to_string()
     }
 }
 

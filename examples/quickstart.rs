@@ -96,7 +96,7 @@ fn main() {
     let (total, policies) = session.composed_guarantee();
     println!("\ntotal budget spent: {total} under the minimum relaxation of {policies:?}");
     println!("remaining         : {:?}", session.remaining_budget());
-    let verdict = osdp::attack::verify_ledger(&session.audit_ledger(), Some(2.0));
+    let verdict = session.verify_policy_lifecycle(Some(2.0));
     println!(
         "audit verdict     : within_limit = {}, exclusion-attack surface = {:?}",
         verdict.within_limit, verdict.pdp_entries

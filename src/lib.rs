@@ -87,7 +87,7 @@
 //! ));
 //!
 //! // ...and the audit ledger verifies against the composition theorems.
-//! let verdict = osdp::attack::verify_ledger(&session.audit_ledger(), Some(2.0));
+//! let verdict = session.verify_policy_lifecycle(Some(2.0));
 //! assert!(verdict.upholds_osdp());
 //! ```
 

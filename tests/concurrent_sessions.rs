@@ -9,7 +9,7 @@
 //!   attempt;
 //! * the merged, sequence-stamped audit ledger contains exactly one record
 //!   per grant, with dense release indices, and passes
-//!   `osdp_attack::verify_ledger`;
+//!   `verify_policy_lifecycle`;
 //! * per-tenant budgets in a `SessionPool` are enforced independently
 //!   (parallel composition across disjoint tenants, Theorem 10.2);
 //! * the sharded task cache derives each task exactly once, no matter how
@@ -18,7 +18,6 @@
 //! A proptest additionally pins the fixed-point property the whole design
 //! rests on: spend totals are independent of interleaving order.
 
-use osdp::attack::verify_ledger;
 use osdp::prelude::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,7 +88,7 @@ fn concurrent_releases_never_overspend_a_tight_budget() {
 
     // The ledger verifies against the cap, and the audit log's atomic
     // length agrees on the number of grants.
-    let verdict = verify_ledger(&session.audit_ledger(), Some(limit));
+    let verdict = session.verify_policy_lifecycle(Some(limit));
     assert!(verdict.upholds_osdp());
     assert!((verdict.total_epsilon - session.total_spent()).abs() < 1e-9);
     assert_eq!(session.audit_len(), grants);
@@ -126,7 +125,7 @@ fn mixed_single_and_pool_traffic_keeps_ledger_and_audit_in_agreement() {
     }
 
     // Merged audit: dense indices, totals agreeing with the accountant to
-    // the fixed-point resolution, and a clean verify_ledger verdict.
+    // the fixed-point resolution, and a clean verify_policy_lifecycle verdict.
     let records = session.audit_records();
     assert_eq!(records.len(), session.audit_len());
     let mut indices: Vec<u64> = records.iter().map(|r| r.index).collect();
@@ -134,7 +133,7 @@ fn mixed_single_and_pool_traffic_keeps_ledger_and_audit_in_agreement() {
     assert_eq!(indices, (0..records.len() as u64).collect::<Vec<_>>());
     let audit_total: f64 = records.iter().map(|r| r.total_epsilon()).sum();
     assert!((audit_total - session.total_spent()).abs() < 1e-9);
-    let verdict = verify_ledger(&session.audit_ledger(), None);
+    let verdict = session.verify_policy_lifecycle(None);
     assert!(verdict.upholds_osdp());
     assert!((verdict.total_epsilon - session.total_spent()).abs() < 1e-9);
 }
@@ -216,7 +215,7 @@ fn hammer_to_the_cap_and_check_totals(session: &Arc<OsdpSession>, limit: f64) {
         "audit and accountant fixed-point totals must be the same integer"
     );
     assert_eq!(session.audit_total_epsilon(), session.total_spent());
-    let verdict = verify_ledger(&session.audit_ledger(), Some(limit));
+    let verdict = session.verify_policy_lifecycle(Some(limit));
     assert!(verdict.upholds_osdp());
 }
 
@@ -306,7 +305,7 @@ fn removed_tenants_keep_absorbing_in_flight_releases() {
     // agrees with the accountant bit for bit.
     assert_eq!(evicted.audit_len(), grants, "every in-flight release landed");
     assert_eq!(evicted.audit_total_epsilon(), evicted.total_spent());
-    let verdict = verify_ledger(&evicted.audit_ledger(), None);
+    let verdict = evicted.verify_policy_lifecycle(None);
     assert!(verdict.upholds_osdp());
     assert!((verdict.total_epsilon - 0.125 * grants as f64).abs() < 1e-9);
     // Quiesced: we hold the only Arc.

@@ -40,7 +40,7 @@ fn dpbench_policy_mechanism_metric_pipeline() {
     }
     // The session audited one batch per mechanism, 3 trials each, all OSDP
     // or DP — the ledger verifies under the composition theorems.
-    let verdict = osdp::attack::verify_ledger(&session.audit_ledger(), None);
+    let verdict = session.verify_policy_lifecycle(None);
     assert!((verdict.total_epsilon - 4.0 * 3.0 * eps).abs() < 1e-9);
     assert!(verdict.upholds_osdp());
     // Every algorithm has a regret >= 1 and at least one achieves exactly 1.
@@ -131,6 +131,6 @@ fn session_budget_guards_a_full_release_workflow() {
     assert_eq!(session.audit_records().len(), 1, "the refused release is not logged");
 
     // The attack-side verifier agrees the ledger respected its cap.
-    let verdict = osdp::attack::verify_ledger(&session.audit_ledger(), Some(1.0));
+    let verdict = session.verify_policy_lifecycle(Some(1.0));
     assert!(verdict.upholds_osdp());
 }

@@ -1,5 +1,5 @@
-//! Allocation budget of the grant path, and of recovering a durable
-//! session's WAL tail.
+//! Allocation budget of the grant path, of recovering a durable session's
+//! WAL tail, and of verifying a ledger.
 //!
 //! A counting global allocator tallies heap allocations **per thread**, so
 //! the libtest harness and concurrently running tests never pollute the
@@ -16,6 +16,9 @@
 //! that repeat the previous frame's labels share them, so the allocations
 //! of a recovery grow only with the logarithm of the tail (vector growth),
 //! not with its length.
+//!
+//! Verifying a tenant's ledger folds its audit rows in place, so it
+//! allocates per distinct key and policy, not per release.
 //!
 //! Run it on the optimised build, where the claim is made:
 //! `cargo test --release --test grant_alloc`.
@@ -205,5 +208,40 @@ fn recovering_a_single_key_tail_allocates_per_growth_not_per_frame() {
         large.abs_diff(small) < 64,
         "recovering 4,096 frames made {large} allocations and 1,024 frames {small}: \
          the difference must not grow with the tail"
+    );
+}
+
+/// Allocations of one `verify_policy_lifecycle` call on `session`.
+fn verify_allocations(session: &OsdpSession) -> u64 {
+    let before = allocations();
+    let verdict = session.verify_policy_lifecycle(None);
+    let spent = allocations() - before;
+    assert!(verdict.upholds_osdp());
+    assert_eq!(verdict.policies, ["P-verify"]);
+    spent
+}
+
+#[test]
+fn verifying_a_one_key_ledger_allocates_per_key_not_per_release() {
+    let bins = 32;
+    let full = Histogram::from_counts((0..bins).map(|i| 100.0 + i as f64).collect());
+    let non_sensitive = Histogram::from_counts((0..bins).map(|i| (i % 7) as f64).collect());
+    let session =
+        histogram_session(full, non_sensitive).policy_label("P-verify").seed(5).build().unwrap();
+    let mechanism = OsdpLaplaceL1::new(0.01).unwrap();
+    let query = SessionQuery::bound();
+    let mut counts = Vec::new();
+    for releases in [10_000, 100_000] {
+        while session.audit_len() < releases {
+            session.release(&query, &mechanism).unwrap();
+        }
+        counts.push(verify_allocations(&session));
+    }
+    assert!(
+        counts[0].abs_diff(counts[1]) < 16,
+        "verifying 10,000 releases made {} allocations and 100,000 made {}: the \
+         difference must not grow with the release count",
+        counts[0],
+        counts[1]
     );
 }

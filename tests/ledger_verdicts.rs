@@ -235,7 +235,6 @@ fn a_spend_500_units_above_the_limit() {
     assert_eq!(spent, epsilon_to_units(1.0));
     let limit = units_to_epsilon(spent - 500);
     let verdict = session.verify_policy_lifecycle(Some(limit));
-    // The boundary verdict: 500 units are 5e-10 ε, inside a 1e-9 float
-    // tolerance.
-    assert!(verdict.within_limit);
+    // The boundary verdict: 500 units (5e-10 ε) over the limit are over it.
+    assert!(!verdict.within_limit);
 }

@@ -6,7 +6,7 @@
 //! * **bit-for-bit counters** — a recovered accountant's fixed-point spent
 //!   total equals an *independent* read of the durable ledger
 //!   (`TenantLedger::peek`), and equals the recovered audit log's ε-unit
-//!   total, so `verify_ledger` balances over the recovered state;
+//!   total, so `verify_policy_lifecycle` balances over the recovered state;
 //! * **prefix-closed loss** — crashing a writer (torn tail, unflushed
 //!   buffer) loses at most the un-synced suffix, and only in the safe
 //!   direction: the recovered total never exceeds what was admitted, and a
@@ -16,7 +16,6 @@
 //!   restarted durable session resumes the exact release-index sequence of
 //!   an uninterrupted one.
 
-use osdp::attack::verify_ledger;
 use osdp::core::budget::epsilon_to_units;
 use osdp::persist::{
     force_unlock, EpochRecord, GrantRecord, GuaranteeTag, RefusalRecord, TenantLedger,
@@ -126,7 +125,7 @@ fn durable_sessions_resume_exactly_after_clean_shutdown() {
     // samples are bitwise the uninterrupted session's third and fourth.
     assert_eq!(estimates, oracle_estimates);
     assert_eq!(second.audit_log().total_epsilon_units(), second.accountant().total_spent_units());
-    assert!(verify_ledger(&second.audit_ledger(), Some(2.0)).upholds_osdp());
+    assert!(second.verify_policy_lifecycle(Some(2.0)).upholds_osdp());
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -186,7 +185,7 @@ fn refusals_and_snapshots_survive_restart() {
         session.release(&SessionQuery::bound(), &OsdpLaplaceL1::new(0.25).unwrap()),
         Err(OsdpError::BudgetExhausted { .. })
     ));
-    assert!(verify_ledger(&session.audit_ledger(), Some(0.5)).upholds_osdp());
+    assert!(session.verify_policy_lifecycle(Some(0.5)).upholds_osdp());
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -458,7 +457,7 @@ fn group_commit_crash_mid_batch_loses_only_unacknowledged_grants() {
     assert_eq!(session.audit_log().total_epsilon_units(), peek.spent_units());
     hammer(&session, eps, 24);
     assert_eq!(session.accountant().total_spent_units(), epsilon_to_units(cap));
-    assert!(verify_ledger(&session.audit_ledger(), Some(cap)).upholds_osdp());
+    assert!(session.verify_policy_lifecycle(Some(cap)).upholds_osdp());
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -570,7 +569,7 @@ proptest! {
         let session = builder(cap, 5).durable(persistence).build().unwrap();
         prop_assert_eq!(session.accountant().total_spent_units(), recovered_units);
         prop_assert_eq!(session.audit_log().total_epsilon_units(), recovered_units);
-        prop_assert!(verify_ledger(&session.audit_ledger(), Some(cap)).upholds_osdp());
+        prop_assert!(session.verify_policy_lifecycle(Some(cap)).upholds_osdp());
         drop(session);
 
         // Idempotent: a second recovery with no writes is a fixed point.

@@ -15,7 +15,7 @@
 //!   estimate could not match the oracle's.
 //! * **Stamps are monotone** in audit-index order (the packed counter
 //!   allocates index and version in one atomic), and every honest
-//!   multi-epoch history passes `verify_ledger_versioned`.
+//!   multi-epoch history passes `verify_policy_lifecycle`.
 //! * **Recovery reconstructs the version history bit for bit** — a
 //!   restarted durable session resumes at the pre-crash version with the
 //!   identical transition list.
@@ -23,7 +23,7 @@
 //!   release with a more permissive epoch than the one in force at its
 //!   sequence number flips the verdict.
 
-use osdp::attack::verify_ledger_versioned;
+use osdp::engine::verify_epoch_stamps;
 use osdp::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -333,10 +333,10 @@ fn seeded_stale_policy_replay_is_rejected_end_to_end() {
         .unwrap();
     session.release(&query, &mechanism).unwrap();
 
-    let ledger = session.audit_ledger();
     let transitions = session.epoch_transitions();
     let honest = session.release_stamps();
-    assert!(verify_ledger_versioned(&ledger, None, &honest, &transitions).upholds_osdp());
+    assert!(session.verify_policy_lifecycle(None).upholds_osdp());
+    assert!(verify_epoch_stamps(&honest, &transitions).consistent());
 
     // The seeded replay: claim release 0 — served BEFORE the consent
     // boundary — ran under the relaxed epoch. That is exactly a release
@@ -344,9 +344,8 @@ fn seeded_stale_policy_replay_is_rejected_end_to_end() {
     // sequence number, and the verifier must reject it.
     let mut replayed = honest.clone();
     replayed[0] = ReleaseStamp { seq: 0, version: 1 };
-    let verdict = verify_ledger_versioned(&ledger, None, &replayed, &transitions);
-    assert!(!verdict.upholds_osdp());
-    let epochs = verdict.epochs.expect("versioned verification ran");
+    let epochs = verify_epoch_stamps(&replayed, &transitions);
+    assert!(!epochs.consistent());
     assert_eq!(epochs.stale_releases, vec![0]);
 
     // Tampering with the history instead — backdating the consent boundary
@@ -354,9 +353,6 @@ fn seeded_stale_policy_replay_is_rejected_end_to_end() {
     // the stamps 1, 0, 1 cannot come from the packed audit counter.
     let mut backdated = transitions.clone();
     backdated[0].boundary_seq = 0;
-    let verdict = verify_ledger_versioned(&ledger, None, &replayed, &backdated);
-    assert!(
-        !verdict.epochs.expect("versioned verification ran").monotone,
-        "a backdated boundary cannot explain non-monotone stamps"
-    );
+    let verdict = verify_epoch_stamps(&replayed, &backdated);
+    assert!(!verdict.monotone, "a backdated boundary cannot explain non-monotone stamps");
 }

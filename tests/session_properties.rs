@@ -41,7 +41,7 @@ proptest! {
         prop_assert!(session.total_spent() <= limit + 1e-9);
         prop_assert!((session.total_spent() - accepted).abs() < 1e-9);
         prop_assert_eq!(session.audit_records().len(), accepted_count);
-        let verdict = osdp::attack::verify_ledger(&session.audit_ledger(), Some(limit));
+        let verdict = session.verify_policy_lifecycle(Some(limit));
         prop_assert!(verdict.upholds_osdp());
     }
 

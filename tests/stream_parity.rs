@@ -9,11 +9,11 @@
 //!   one-shot through an `OsdpSession` over the concatenated records
 //!   (per-window `CountBy` queries, same seed);
 //! * hierarchical range queries over `T` windows debit `O(log T)` node
-//!   releases, and `verify_ledger` passes on the merged stream audit log;
+//!   releases, and `verify_policy_lifecycle` passes on the merged stream audit
+//!   log;
 //! * the audit log's fixed-point accumulator always agrees with the
 //!   accountant bit for bit.
 
-use osdp::attack::verify_ledger;
 use osdp::prelude::*;
 use proptest::prelude::*;
 
@@ -118,7 +118,7 @@ proptest! {
         prop_assert_eq!(s.audit_total_epsilon(), s.total_spent());
         prop_assert_eq!(oracle.audit_total_epsilon(), oracle.total_spent());
         // The merged stream audit log verifies.
-        let verdict = verify_ledger(&s.audit_ledger(), None);
+        let verdict = s.verify_policy_lifecycle(None);
         prop_assert!(verdict.upholds_osdp());
         prop_assert!((verdict.total_epsilon - eps * windows.len() as f64).abs() < 1e-9);
     }
@@ -166,7 +166,7 @@ proptest! {
         let s = stream.session();
         prop_assert_eq!(s.audit_len(), stream.released_nodes());
         prop_assert_eq!(s.audit_total_epsilon(), s.total_spent());
-        let verdict = verify_ledger(&s.audit_ledger(), Some(cap));
+        let verdict = s.verify_policy_lifecycle(Some(cap));
         prop_assert!(verdict.upholds_osdp());
 
         // Re-running the same range is pure post-processing.
@@ -233,5 +233,5 @@ fn sliding_window_grants_match_oracle_releases() {
     let s = stream.session();
     assert_eq!(s.accountant().total_spent_units(), oracle.accountant().total_spent_units());
     assert_eq!(s.audit_total_epsilon(), s.total_spent());
-    assert!(verify_ledger(&s.audit_ledger(), None).upholds_osdp());
+    assert!(s.verify_policy_lifecycle(None).upholds_osdp());
 }
