@@ -7,10 +7,9 @@
 //! small value domain.
 
 use osdp_core::error::{OsdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A prior distribution over the target record's value (domain `0..n`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductPrior {
     probabilities: Vec<f64>,
 }

@@ -8,10 +8,9 @@
 //! output spaces finite so posteriors can be computed in closed form.
 
 use osdp_core::policy::Policy;
-use serde::{Deserialize, Serialize};
 
 /// An observable outcome concerning the target record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Outcome {
     /// The record was published truthfully with this value.
     Released(u32),
@@ -34,7 +33,7 @@ pub trait ReleaseModel: Send + Sync {
 }
 
 /// `OsdpRR` (Algorithm 1) applied to the target record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsdpRrModel {
     /// The privacy budget ε.
     pub epsilon: f64,
@@ -58,7 +57,7 @@ impl ReleaseModel for OsdpRrModel {
 /// Truthful release of every non-sensitive record — the Truman-model /
 /// "All NS" baseline, and the behaviour of personalized DP with `ε = ∞` for
 /// non-sensitive records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TruthfulModel;
 
 impl ReleaseModel for TruthfulModel {
@@ -83,7 +82,7 @@ impl ReleaseModel for TruthfulModel {
 /// The support is truncated at `±MAX_NOISE` standard-score-equivalents; the
 /// residual mass (well below 1e-9 for reasonable τ) is folded into the
 /// extreme outcomes so distributions still sum to one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuppressModel {
     /// The DP budget τ the mechanism spends on the non-sensitive records.
     pub tau: f64,
@@ -141,7 +140,7 @@ impl ReleaseModel for SuppressModel {
 /// sensitive ones — i.e. the count it perturbs is policy-independent. Any DP
 /// mechanism is ε-free of exclusion attacks for every policy (the remark
 /// after Theorem 3.1); this model is the sanity check for that claim.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpGeometricModel {
     /// The privacy budget ε.
     pub epsilon: f64,

@@ -11,11 +11,10 @@
 
 use crate::release_models::{Outcome, ReleaseModel};
 use osdp_core::policy::Policy;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The outcome of checking the OSDP inequality on singleton databases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OsdpCheckOutcome {
     /// The tightest ε such that the mechanism satisfies `(P, ε)`-OSDP on the
     /// enumerated domain; infinite when the inequality fails for every finite

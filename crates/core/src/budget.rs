@@ -14,13 +14,12 @@
 //! [`crate::policy::MinimumRelaxation`].
 
 use crate::error::{validate_epsilon, OsdpError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The privacy parameter of a single mechanism invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyBudget {
     epsilon: f64,
 }
@@ -48,7 +47,7 @@ impl PrivacyBudget {
 }
 
 /// The kind of guarantee a mechanism invocation provides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivacyGuarantee {
     /// Plain ε-differential privacy — also `(P, ε)`-OSDP for every policy `P`
     /// (Lemma 3.1).
@@ -67,7 +66,7 @@ pub enum PrivacyGuarantee {
 /// The quantified privacy guarantee of a single mechanism, replacing the old
 /// `is_differentially_private() -> bool` flag: the kind of definition *and*
 /// its budget travel together through sessions, ledgers and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Guarantee {
     /// ε-differential privacy (Definition 2.4).
     Dp {
@@ -137,7 +136,7 @@ impl fmt::Display for Guarantee {
 }
 
 /// One entry of the composition ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// Human-readable mechanism label (e.g. `"OsdpRR"`, `"DAWA stage 1"`).
     pub label: String,
@@ -422,7 +421,7 @@ impl BudgetAccountant {
 ///   the per-level cost composes in parallel (Theorem 10.2) — a user
 ///   appearing in one window is exposed to at most `levels + 1` node
 ///   releases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamBudget {
     /// Sequential composition: each window debits its mechanism's full ε.
     PerWindow,

@@ -9,13 +9,12 @@
 use crate::frame::PolicyMask;
 use crate::histogram::Histogram;
 use crate::policy::Policy;
-use serde::{Deserialize, Serialize};
 
 /// A multiset of records.
 ///
 /// The representation is a plain vector; order carries no semantics but is
 /// preserved to keep data generation and experiments deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Database<R = crate::record::Record> {
     records: Vec<R>,
 }

@@ -6,13 +6,11 @@
 //! product of two categorical domains, used for the 2-D access-point × hour
 //! histogram of Section 6.3.3.1.
 
-use serde::{Deserialize, Serialize};
-
 /// A finite, ordered categorical domain with `size` bins.
 ///
 /// Bins are addressed by index `0..size`. An optional label per bin is kept
 /// for reporting; algorithms only ever use indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategoricalDomain {
     name: String,
     size: usize,
@@ -63,7 +61,7 @@ impl CategoricalDomain {
 ///
 /// Used for 2-D histograms such as the TIPPERS access-point × hour histogram:
 /// bin `(r, c)` is stored at flat index `r * cols + c`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridDomain {
     rows: CategoricalDomain,
     cols: CategoricalDomain,

@@ -9,10 +9,9 @@
 
 use crate::domain::GridDomain;
 use crate::error::{OsdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A one-dimensional histogram: a dense vector of (possibly noisy) counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     counts: Vec<f64>,
 }
@@ -224,7 +223,7 @@ impl Histogram {
 }
 
 /// A two-dimensional histogram over a [`GridDomain`], stored row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram2D {
     domain: GridDomain,
     flat: Histogram,

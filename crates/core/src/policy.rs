@@ -20,11 +20,10 @@
 use crate::frame::CompiledPolicy;
 use crate::record::Record;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The sensitivity class assigned to a record by a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sensitivity {
     /// `P(r) = 0`: the record receives the full OSDP guarantee.
     Sensitive,
@@ -436,7 +435,7 @@ pub fn is_relaxation_of<'a, R: 'a + ?Sized>(
 /// intent, not something derivable from two opaque closures — and can be
 /// validated against the relaxation relation (Definition 3.5) over a sampled
 /// universe via [`VersionedPolicy::transition_checked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EpochDirection {
     /// The new epoch classifies at least as many records sensitive as the
     /// old one: the **old** policy is a relaxation of the new.

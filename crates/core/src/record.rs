@@ -7,7 +7,6 @@
 
 use crate::error::{OsdpError, Result};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier for a record inside a [`crate::Database`].
@@ -15,7 +14,7 @@ use std::fmt;
 /// The identifier is positional bookkeeping used by data generators and
 /// experiments (e.g. to join a trajectory back to its owner); it carries no
 /// privacy semantics and is never released by mechanisms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u64);
 
 impl fmt::Display for RecordId {
@@ -29,7 +28,7 @@ impl fmt::Display for RecordId {
 /// Field lookup is linear; records are expected to have a handful of fields
 /// (the paper's use cases have 2–6), so a sorted map would cost more in
 /// allocation than it saves in search.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
     fields: Vec<(String, Value)>,
 }

@@ -6,12 +6,11 @@
 //! tracked analytically, and error metrics account for the all-zero remainder
 //! in closed form.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A sparse histogram: non-zero counts keyed by a dense `u64` bin index, plus
 /// the (possibly astronomically large) total domain size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseHistogram {
     counts: BTreeMap<u64, f64>,
     domain_size: f64,

@@ -6,12 +6,11 @@
 //! *"records of users who opted out are sensitive"*), and histogram queries
 //! group by them.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A single attribute value stored in a [`crate::Record`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A signed integer (ages, counts, identifiers).
     Int(i64),

@@ -25,13 +25,12 @@
 use crate::shapes;
 use osdp_core::{ColumnarFrame, Histogram};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Domain size shared by all benchmark datasets.
 pub const DOMAIN_SIZE: usize = 4096;
 
 /// The seven benchmark datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkDataset {
     /// Sparse, small-scale census extract (sparsity 0.98, scale 17,665).
     Adult,
@@ -61,7 +60,7 @@ pub const ALL_DATASETS: [BenchmarkDataset; 7] = [
 ];
 
 /// Published characteristics of a benchmark dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset identity.
     pub dataset: BenchmarkDataset,

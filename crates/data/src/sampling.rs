@@ -21,10 +21,9 @@
 use osdp_core::error::{validate_fraction, OsdpError, Result};
 use osdp_core::{ColumnarFrame, Histogram};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which sampling procedure generated a non-sensitive sub-histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// `MSampling`: the non-sensitive distribution is close to the full one.
     Close,
@@ -43,7 +42,7 @@ impl PolicyKind {
 }
 
 /// A simulated policy: the non-sensitive sub-histogram plus its provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledPolicy {
     /// Which sampler produced this policy.
     pub kind: PolicyKind,

@@ -1,9 +1,7 @@
 //! The simulated building: 64 Wi-Fi access points grouped into zones.
 
-use serde::{Deserialize, Serialize};
-
 /// Functional zone an access point covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZoneType {
     /// Building entrances / lobbies — almost everyone passes through one.
     Entrance,
@@ -30,7 +28,7 @@ impl ZoneType {
 }
 
 /// The building layout: which zone each access point belongs to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Building {
     zones: Vec<ZoneType>,
 }

@@ -8,11 +8,10 @@
 
 use super::ngram::NgramCounts;
 use super::trajectory::{Trajectory, TrajectoryDataset};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Extracts fixed-length numeric feature vectors from trajectories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureExtractor {
     ap_count: usize,
     /// Frequent consecutive 3-AP patterns discovered on the fitting data.
@@ -89,7 +88,7 @@ impl FeatureExtractor {
 }
 
 /// A labelled feature matrix ready for the `osdp-ml` classifiers.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LabeledDataset {
     /// One feature vector per trajectory.
     pub features: Vec<Vec<f64>>,

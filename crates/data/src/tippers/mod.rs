@@ -42,13 +42,12 @@ pub use population::{Person, Population, Role};
 pub use trajectory::{Trajectory, TrajectoryDataset, SLOTS_PER_DAY, SLOT_MINUTES};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulator.
 ///
 /// The defaults produce a dataset that is structurally faithful but small
 /// enough for tests; the experiment harness scales `users` and `days` up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TippersConfig {
     /// Number of distinct people (devices).
     pub users: usize,

@@ -8,14 +8,13 @@
 
 use super::trajectory::{Trajectory, TrajectoryDataset};
 use osdp_core::policy::{Policy, Sensitivity};
-use serde::{Deserialize, Serialize};
 
 /// The non-sensitive ratios used throughout Section 6 (`P99 … P1`).
 pub const STANDARD_RATIOS: [f64; 7] = [0.99, 0.90, 0.75, 0.50, 0.25, 0.10, 0.01];
 
 /// A policy that marks a trajectory sensitive when it passes through any of a
 /// set of sensitive access points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitiveApPolicy {
     label: String,
     sensitive_aps: Vec<u8>,

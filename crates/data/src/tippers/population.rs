@@ -3,14 +3,13 @@
 use super::building::{Building, ZoneType};
 use super::TippersConfig;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Whether a person is a building resident or an occasional visitor.
 ///
 /// Residents are the positive class of the Section 6.3.1 classification task:
 /// they arrive most days, stay long, anchor at a fixed office access point and
 /// occasionally work late.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// A resident with a home office access point.
     Resident {
@@ -24,7 +23,7 @@ pub enum Role {
 }
 
 /// A simulated person (one pseudo-anonymised device in the real trace).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Person {
     /// Stable person identifier.
     pub id: u32,
@@ -46,7 +45,7 @@ impl Person {
 }
 
 /// The full population of the simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     people: Vec<Person>,
 }

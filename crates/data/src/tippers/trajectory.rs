@@ -11,7 +11,6 @@ use super::population::{Person, Population, Role};
 use super::TippersConfig;
 use osdp_core::{CategoricalDomain, GridDomain, Histogram2D};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Ten-minute discretisation, as in the paper.
@@ -20,7 +19,7 @@ pub const SLOT_MINUTES: usize = 10;
 pub const SLOTS_PER_DAY: usize = 24 * 60 / SLOT_MINUTES;
 
 /// One person's trajectory for one day.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trajectory {
     /// The person this trajectory belongs to.
     pub user: u32,
@@ -132,7 +131,7 @@ impl Trajectory {
 }
 
 /// The complete simulated trace: building, population and daily trajectories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrajectoryDataset {
     building: Building,
     population: Population,

@@ -11,14 +11,13 @@ use osdp_core::error::{validate_epsilon, validate_fraction, Result};
 use osdp_core::Histogram;
 use osdp_noise::Laplace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The share of the budget DAWA spends on partitioning by default (the value
 /// used by the original implementation).
 pub const DEFAULT_PARTITION_SHARE: f64 = 0.25;
 
 /// The DAWA differentially private histogram-release algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dawa {
     epsilon: f64,
     partition_share: f64,

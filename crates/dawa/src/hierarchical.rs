@@ -13,10 +13,9 @@ use osdp_core::Histogram;
 use osdp_noise::Laplace;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The hierarchical-counts DP mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hierarchical {
     epsilon: f64,
 }

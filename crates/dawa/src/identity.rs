@@ -10,10 +10,9 @@ use osdp_core::Histogram;
 use osdp_noise::Laplace;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The per-bin Laplace baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Identity {
     epsilon: f64,
 }

@@ -22,7 +22,6 @@ use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::Histogram;
 use osdp_noise::Laplace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A partition of `0..domain` into consecutive, non-overlapping buckets
 /// (half-open intervals), in increasing order.
@@ -87,7 +86,7 @@ fn node_interval(level: usize, index: usize, n: usize) -> (usize, usize) {
 }
 
 /// The ε₁-private dyadic partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Partitioner {
     epsilon1: f64,
     bucket_constant: f64,

@@ -21,7 +21,6 @@
 use osdp_core::budget::{epsilon_to_units, units_to_epsilon, LedgerEntry, PrivacyGuarantee};
 use osdp_core::{json_number, json_string, BudgetAccountant, Guarantee};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
@@ -247,7 +246,7 @@ fn push_distinct(labels: &mut Vec<String>, label: &str) {
 /// on snapshot: the three label fields are `Arc<str>`s shared with that
 /// table, so a snapshot costs three reference-count increments per
 /// record, not three string allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     /// Monotone release index within the session.
     pub index: u64,

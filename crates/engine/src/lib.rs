@@ -51,7 +51,7 @@
 //!   releases of one question run one backend scan, and
 //!   [`OsdpSession::release_pool`] amortizes that single scan plus a single
 //!   compare-and-swap debit across a whole mechanism pool;
-//! * a serde-friendly **mechanism registry** ([`MechanismSpec`]): pools are
+//! * a by-name **mechanism registry** ([`MechanismSpec`]): pools are
 //!   constructed by name from experiment configurations instead of being
 //!   hard-wired at each call site.
 //!

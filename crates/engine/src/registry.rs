@@ -1,4 +1,4 @@
-//! [`MechanismSpec`]: the serde-friendly mechanism registry.
+//! [`MechanismSpec`]: the mechanism registry, which builds pools by name.
 //!
 //! Experiment configurations name their algorithm pools as data
 //! (`["OsdpRR", "OsdpLaplaceL1", "DAWA", ...]`); the registry turns those
@@ -11,10 +11,9 @@ use osdp_mechanisms::{
     DawaHistogram, Dawaz, DpLaplaceHistogram, HistogramMechanism, HybridLaplace, OsdpLaplace,
     OsdpLaplaceL1, OsdpRrHistogram, Suppress,
 };
-use serde::{Deserialize, Serialize};
 
 /// A buildable mechanism description: mechanism kind plus its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MechanismSpec {
     /// `OsdpRR` packaged as a histogram mechanism (Algorithm 1).
     OsdpRr {

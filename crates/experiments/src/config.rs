@@ -2,10 +2,9 @@
 
 use osdp_data::tippers::TippersConfig;
 use osdp_noise::SeedSequence;
-use serde::{Deserialize, Serialize};
 
 /// Shared configuration of the experiment harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Root seed; every runner derives its own deterministic stream from it.
     pub seed: u64,

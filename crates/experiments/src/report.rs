@@ -1,12 +1,11 @@
 //! Collecting experiment results into a report.
 
 use osdp_metrics::ResultTable;
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
 
 /// A named collection of result tables produced by one or more runners.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Report {
     /// Report title.
     pub title: String,
@@ -50,8 +49,7 @@ impl Report {
         out
     }
 
-    /// Serialises the report to pretty JSON (hand-rolled; the vendored
-    /// `serde` is a marker-only stand-in).
+    /// Serialises the report to pretty JSON (hand-rolled).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"title\": {},\n", osdp_metrics::json_string(&self.title)));

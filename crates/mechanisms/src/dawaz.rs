@@ -9,10 +9,9 @@ use crate::recipe::{DawaTwoPhase, ZeroBinRecipe, ZeroDetector, DEFAULT_RHO};
 use crate::traits::{HistogramMechanism, HistogramTask};
 use osdp_core::error::Result;
 use osdp_core::{Guarantee, Histogram};
-use serde::{Deserialize, Serialize};
 
 /// The `DAWAz` hybrid OSDP histogram algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dawaz {
     inner: ZeroBinRecipe<DawaTwoPhase>,
 }

@@ -28,10 +28,9 @@ use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::{Guarantee, Histogram};
 use osdp_noise::Laplace;
 use rand::distributions::Distribution;
-use serde::{Deserialize, Serialize};
 
 /// Per-bin hybrid of one-sided and two-sided Laplace noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridLaplace {
     epsilon: f64,
     split_budget: bool,

@@ -6,11 +6,10 @@ use osdp_core::{Guarantee, Histogram};
 use osdp_noise::Laplace;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The general Laplace mechanism for a numeric query of known L1 sensitivity:
 /// `M(D) = f(D) + Lap(S(f)/ε)^d`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaplaceMechanism {
     epsilon: f64,
     sensitivity: f64,
@@ -64,7 +63,7 @@ impl LaplaceMechanism {
 /// The DP baseline for histogram release: per-bin Laplace noise with
 /// sensitivity 2 (bounded DP: one record changing value moves one unit of
 /// count between two bins).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpLaplaceHistogram {
     inner: LaplaceMechanism,
     clamp_non_negative: bool,

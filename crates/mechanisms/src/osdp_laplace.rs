@@ -13,10 +13,9 @@ use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::{Guarantee, Histogram};
 use osdp_noise::OneSidedLaplace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The one-sided Laplace mechanism over the non-sensitive histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsdpLaplace {
     epsilon: f64,
 }

@@ -16,10 +16,9 @@ use crate::traits::{HistogramMechanism, HistogramTask};
 use osdp_core::error::Result;
 use osdp_core::{Guarantee, Histogram};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The clamped, median-corrected one-sided Laplace mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsdpLaplaceL1 {
     inner: OsdpLaplace,
 }

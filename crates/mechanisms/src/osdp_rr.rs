@@ -14,10 +14,9 @@ use osdp_core::policy::Policy;
 use osdp_core::{Database, Guarantee, Histogram};
 use osdp_noise::bernoulli::{bernoulli_keep_probability, sample_bernoulli};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The randomized-response release mechanism for true records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsdpRr {
     epsilon: f64,
     keep_probability: f64,
@@ -87,7 +86,7 @@ impl OsdpRr {
 /// (inverse-propensity post-processing, which does not affect the privacy
 /// guarantee). The paper's error analysis (Theorem 5.1) considers the
 /// unrescaled variant, so that is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsdpRrHistogram {
     inner: OsdpRr,
     rescale: bool,

@@ -22,7 +22,6 @@ use osdp_core::error::{validate_epsilon, validate_fraction, Result};
 use osdp_core::{Guarantee, Histogram};
 use osdp_dawa::{Dawa, DawaScratch, Hierarchical, Identity, Partition};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A two-phase DP histogram algorithm usable inside the recipe: it releases an
 /// estimate together with the partition (model) that produced it.
@@ -44,7 +43,7 @@ pub trait TwoPhaseDp: Send + Sync {
 }
 
 /// DAWA as a two-phase DP algorithm (its natural form).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DawaTwoPhase {
     /// Budget share DAWA itself spends on its private partitioning stage.
     pub partition_share: f64,
@@ -79,7 +78,7 @@ impl TwoPhaseDp for DawaTwoPhase {
 /// algorithm whose "partition" is one bucket per bin. Used by the ablation
 /// benches to show how much of DAWAz's win comes from the zero-bin knowledge
 /// alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IdentityTwoPhase;
 
 impl TwoPhaseDp for IdentityTwoPhase {
@@ -101,7 +100,7 @@ impl TwoPhaseDp for IdentityTwoPhase {
 }
 
 /// The hierarchical mechanism as a two-phase algorithm (per-bin partition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HierarchicalTwoPhase;
 
 impl TwoPhaseDp for HierarchicalTwoPhase {
@@ -130,7 +129,7 @@ fn one_bucket_per_bin(partition: &mut Partition, bins: usize) {
 }
 
 /// Which OSDP primitive the recipe uses to detect zero bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZeroDetector {
     /// Binomial thinning of the non-sensitive counts (`OsdpRR`) — the choice
     /// used by the paper's experiments. Over-reports zeros at small budgets,
@@ -142,7 +141,7 @@ pub enum ZeroDetector {
 }
 
 /// The zero-bin recipe around a two-phase DP algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZeroBinRecipe<M> {
     epsilon: f64,
     rho: f64,
@@ -279,7 +278,7 @@ impl<M: TwoPhaseDp> HistogramMechanism for ZeroBinRecipe<M> {
 }
 
 /// DAWA wrapped directly as a histogram mechanism (the paper's DP baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DawaHistogram {
     epsilon: f64,
 }

@@ -13,10 +13,9 @@ use crate::traits::{HistogramMechanism, HistogramTask};
 use osdp_core::error::{validate_epsilon, Result};
 use osdp_core::{Guarantee, Histogram};
 use osdp_noise::Laplace;
-use serde::{Deserialize, Serialize};
 
 /// The PDP threshold algorithm for histograms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Suppress {
     tau: f64,
     name: String,

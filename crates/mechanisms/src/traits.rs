@@ -13,10 +13,9 @@
 
 use osdp_core::error::{OsdpError, Result};
 use osdp_core::{Guarantee, Histogram};
-use serde::{Deserialize, Serialize};
 
 /// A histogram-release task: the true histogram and its non-sensitive part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramTask {
     full: Histogram,
     non_sensitive: Histogram,

@@ -20,10 +20,9 @@ use osdp_core::SparseHistogram;
 use osdp_noise::Laplace;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The truncated Laplace mechanism for sparse user-level count histograms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TruncatedNgramLaplace {
     epsilon: f64,
     k: usize,

@@ -6,10 +6,9 @@
 //! statistic plotted in Figure 1.
 
 use osdp_core::error::{OsdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate of per-fold AUC values for one (algorithm, policy, ε) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AucSummary {
     fold_aucs: Vec<f64>,
 }

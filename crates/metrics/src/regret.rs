@@ -11,7 +11,6 @@
 //! A regret of 1 means the algorithm was the best of the pool on that input.
 
 use osdp_core::error::{OsdpError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Regret of a single error value against the pool optimum.
@@ -32,7 +31,7 @@ pub fn regret(error: f64, optimum: f64) -> f64 {
 
 /// Accumulates per-input errors for a pool of algorithms and computes average
 /// regrets, mirroring the aggregation of Figures 6–10.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct RegretTable {
     /// `errors[input][algorithm] = error`
     errors: BTreeMap<String, BTreeMap<String, f64>>,

@@ -7,11 +7,10 @@
 //! to JSON by the experiments crate.
 
 use osdp_core::{json_number, json_string};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A single row of an experiment result table.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResultRow {
     /// Dimension values, e.g. `{"policy": "P99", "algorithm": "OsdpRR"}`.
     pub dims: BTreeMap<String, String>,
@@ -39,7 +38,7 @@ impl ResultRow {
 }
 
 /// A labelled collection of [`ResultRow`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultTable {
     /// Table title (e.g. `"Figure 4a: MRE on the TIPPERS histogram, eps = 1"`).
     pub title: String,
@@ -147,8 +146,7 @@ impl ResultTable {
         out
     }
 
-    /// Serialises the table to a JSON object (hand-rolled; the vendored
-    /// `serde` is a marker-only stand-in, see `vendor/serde`).
+    /// Serialises the table to a JSON object (hand-rolled).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));

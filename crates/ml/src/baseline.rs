@@ -1,12 +1,11 @@
 //! The `Random` baseline of Figure 1: predicts from the label prior alone.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A classifier that ignores the features entirely and scores every example
 /// with an independent random draw (its expected AUC is 0.5, i.e. an error of
 /// 0.5 — the horizontal line of Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomClassifier {
     /// The positive-class prior observed on the training labels; recorded for
     /// reporting, not used for ranking (a constant prior would produce fully

@@ -1,10 +1,9 @@
 //! L2-regularised logistic regression trained by batch gradient descent.
 
 use osdp_core::error::{OsdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// L2 regularisation strength λ (applied to the average loss).
     pub l2: f64,
@@ -21,7 +20,7 @@ impl Default for TrainConfig {
 }
 
 /// A trained binary logistic-regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,

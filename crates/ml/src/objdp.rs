@@ -20,10 +20,9 @@ use crate::logistic::{LogisticRegression, TrainConfig};
 use crate::scale::clip_to_unit_norm;
 use osdp_core::error::{validate_epsilon, OsdpError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The objective-perturbation trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectivePerturbation {
     epsilon: f64,
     lambda: f64,

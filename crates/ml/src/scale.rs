@@ -1,10 +1,8 @@
 //! Feature scaling: standardisation and unit-norm clipping.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-feature standardisation (zero mean, unit variance) fitted on training
 /// data and applied to both training and test folds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     means: Vec<f64>,
     stds: Vec<f64>,

@@ -4,12 +4,11 @@ use crate::ln::ln;
 use osdp_core::error::{OsdpError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential distribution with scale `lambda` (mean `lambda`).
 ///
 /// Density: `f(x; λ) = exp(−x/λ) / λ` for `x ≥ 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     lambda: f64,
 }

@@ -8,14 +8,13 @@ use crate::ln::ln;
 use osdp_core::error::{OsdpError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Two-sided geometric distribution with parameter `alpha ∈ (0, 1)`:
 /// `P[X = k] = (1 − α) / (1 + α) · α^{|k|}` for integer `k`.
 ///
 /// Adding this noise to an integer count of sensitivity 1 gives ε-DP with
 /// `α = e^{−ε}`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoSidedGeometric {
     alpha: f64,
 }

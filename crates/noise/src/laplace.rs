@@ -4,7 +4,6 @@ use crate::ln::ln;
 use osdp_core::error::{OsdpError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Laplace distribution with mean `mu` and scale `beta`.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The DP Laplace mechanism (Definition 2.5) adds `Lap(S(f)/ε)` noise, i.e.
 /// a zero-mean Laplace with scale equal to sensitivity over epsilon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Laplace {
     mu: f64,
     beta: f64,

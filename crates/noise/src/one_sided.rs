@@ -10,10 +10,9 @@ use crate::exponential::Exponential;
 use osdp_core::error::Result;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The one-sided (negative) Laplace distribution `Lap⁻(λ)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OneSidedLaplace {
     exp: Exponential,
 }

@@ -18,7 +18,7 @@
 //!   checksum.
 //! * [`record`] — the [`WalRecord`] codec: grants, refusals and snapshot
 //!   markers, hand-serialized (tag byte, little-endian integers,
-//!   length-prefixed strings — no serde, the vendored shim is marker-only).
+//!   length-prefixed strings).
 //! * [`wal`] — length-prefixed, CRC-checksummed framing; [`replay`] decodes
 //!   the longest valid frame prefix in one pass (one CRC check per frame,
 //!   labels shared between frames that repeat them) and reports where a

@@ -1,9 +1,8 @@
 //! The write-ahead ledger record codec.
 //!
 //! Records are hand-serialized — tag byte, little-endian integers, `f64`
-//! bit patterns, `u16`-length-prefixed UTF-8 strings — because the vendored
-//! serde shim is marker-only and the format must be stable across builds
-//! anyway. Every integer that matters for accounting is stored as the
+//! bit patterns, `u16`-length-prefixed UTF-8 strings — so the format is
+//! fixed by this file alone and stable across builds. Every integer that matters for accounting is stored as the
 //! **fixed-point unit count the grant path admitted**, so recovery is pure
 //! integer addition: no float round-trip can perturb the recovered totals.
 //!
