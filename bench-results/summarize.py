@@ -91,6 +91,12 @@ ENTRIES = [
         "dir": "persistent-workers",
         "claimed": {},
     },
+    {
+        "entry": 23,
+        "change": "One ledger verifier folding the engine's audit rows; serde shims deleted (no gain claimed)",
+        "dir": "one-ledger-verifier",
+        "claimed": {},
+    },
 ]
 
 

@@ -473,6 +473,10 @@ impl StreamBudget {
 /// **in fixed-point units** — the same [`BudgetAccountant::RESOLUTION`]
 /// arithmetic as the accountant, so frame sums never drift from the grant
 /// path's integers no matter how many windows stream past.
+///
+/// The frame is a second budget, kept in memory only beside the session's
+/// accountant: it is never written to a WAL, so it is not durable, and a
+/// stream built again after a restart starts with an empty frame.
 #[derive(Debug)]
 pub struct StreamBudgetState {
     budget: StreamBudget,
@@ -548,7 +552,8 @@ impl StreamBudgetState {
         }
     }
 
-    /// ε debited across the retained frame (the last `window − 1` windows).
+    /// ε debited across the retained frame (the last `window − 1` windows),
+    /// as this process has seen it: the frame is not durable.
     pub fn frame_spent(&self) -> f64 {
         units_to_epsilon(self.frame_units)
     }

@@ -434,6 +434,8 @@ impl<R: Send + Sync + 'static> StreamSession<R> {
     }
 
     /// ε debited across the retained sliding frame (0 for other budgets).
+    /// The frame is kept in memory only, beside the session's accountant
+    /// ([`StreamBudgetState`]): it is not durable.
     pub fn frame_spent(&self) -> f64 {
         self.state.frame_spent()
     }
