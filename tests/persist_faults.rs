@@ -647,6 +647,78 @@ fn always_appenders_queued_behind_a_stalled_fsync_share_the_next_one() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// FNV-1a over `bytes`: the digest pinned WAL images are compared by.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A durable `Always` session (the builder below, seed `seed`) over a
+/// [`HookVfs`] at `dir`, and its hooks.
+fn hooked_session(dir: &Path, seed: u64) -> (OsdpSession, Arc<WalHooks>) {
+    let hooks = Arc::new(WalHooks::default());
+    let vfs = Arc::new(HookVfs(Arc::clone(&hooks)));
+    let persistence = SessionPersistence::open_with_vfs(
+        dir.to_path_buf(),
+        SyncPolicy::Always,
+        LedgerOptions::default(),
+        vfs,
+    )
+    .unwrap();
+    (builder(seed).durable(persistence).build().unwrap(), hooks)
+}
+
+/// A durable `Always` tenant serves a seeded pool request of three
+/// mechanisms, then single releases. The `wal.log` bytes are pinned: frame
+/// encoding, frame order and the mirror must not move, however the frames
+/// reach the disk. After a crash and recovery every pool grant is back,
+/// and accountant, audit log and an independent read of the shard agree.
+#[test]
+fn a_durable_pool_request_pins_its_wal_bytes_and_recovers_every_grant() {
+    let root = temp_root("pool-wal");
+    let dir = root.join("tenant");
+    let (session, _hooks) = hooked_session(&dir, 27);
+    let osdp = OsdpLaplaceL1::new(0.125).unwrap();
+    let laplace = DpLaplaceHistogram::new(0.125).unwrap();
+    let dawaz = Dawaz::new(0.125).unwrap();
+    let pool: [&dyn HistogramMechanism; 3] = [&osdp, &laplace, &dawaz];
+    let released = session.release_pool(&SessionQuery::bound(), &pool, 1).unwrap();
+    assert_eq!(released.iter().map(|r| r.index).collect::<Vec<_>>(), [0, 1, 2]);
+    for _ in 0..2 {
+        session.release(&SessionQuery::bound(), &osdp).unwrap();
+    }
+    let wal = std::fs::read(dir.join("wal.log")).unwrap();
+    assert_eq!((wal.len(), fnv1a(&wal)), (452, 0xe35f_68eb_4ff4_992d), "wal.log bytes moved");
+
+    let spent = session.accountant().total_spent_units();
+    assert_eq!(spent, 5 * osdp::core::budget::epsilon_to_units(0.125));
+    session.persistence().unwrap().crash(0.0).unwrap();
+    drop(session);
+    assert!(force_unlock(&dir).unwrap());
+    let peek = TenantLedger::peek(&dir).unwrap();
+    let replayed: Vec<_> =
+        peek.grants.iter().map(|g| (g.index, g.mechanism.to_string(), g.units)).collect();
+    let per_grant = osdp::core::budget::epsilon_to_units(0.125);
+    assert_eq!(
+        replayed,
+        [
+            (0, "OsdpLaplaceL1".into(), per_grant),
+            (1, "Laplace".into(), per_grant),
+            (2, "DAWAz".into(), per_grant),
+            (3, "OsdpLaplaceL1".into(), per_grant),
+            (4, "OsdpLaplaceL1".into(), per_grant),
+        ]
+    );
+    let persistence = SessionPersistence::open(&dir, SyncPolicy::Always).unwrap();
+    let recovered = builder(1).durable(persistence).build().unwrap();
+    assert_eq!(recovered.accountant().total_spent_units(), spent);
+    assert_eq!(recovered.audit_total_epsilon_units(), spent);
+    assert_eq!(peek.spent_units(), spent);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// What a recovered shard says about its durable history: spent units,
 /// grant count, the replayed grant indices, refusals and transition
 /// versions. Everything but the torn bytes a repair removes.
