@@ -191,7 +191,9 @@ pub struct LedgerVerdict {
     /// units of every release, summed exactly.
     pub total_epsilon: f64,
     /// Labels of the policies the composed guarantee refers to (their
-    /// minimum relaxation, Definition 3.6), deduplicated in first-use order.
+    /// minimum relaxation, Definition 3.6), deduplicated: the recovered
+    /// base rows' labels first, in snapshot order (sorted by mechanism,
+    /// policy and guarantee), then the releases' in first-use order.
     pub policies: Vec<String>,
     /// Whether every release is plain ε-DP (then the composite is ε-DP too).
     pub is_pure_dp: bool,
@@ -874,9 +876,10 @@ impl AuditLog {
         labels
     }
 
-    /// The distinct policy labels of the log in first-use order: the
-    /// recovered base rows (in snapshot order), then the releases in index
-    /// order — the labels whose minimum relaxation the composed guarantee
+    /// The distinct policy labels of the log: the recovered base rows'
+    /// labels first, in snapshot order (sorted by mechanism, policy and
+    /// guarantee, not by first use), then the releases' in first-use order
+    /// — the labels whose minimum relaxation the composed guarantee
     /// refers to (Theorem 3.3). O(n) in the rows, allocating per distinct
     /// key and label.
     pub fn policy_labels(&self) -> Vec<String> {
@@ -1035,7 +1038,7 @@ mod tests {
         assert_eq!(ledger.len(), 3);
         assert!(ledger[0].label.contains("recovered"));
         assert_eq!(ledger[1].epsilon, 0.5);
-        // Policy labels in first-use order: base rows, then records.
+        // Policy labels: base rows in snapshot order, then records.
         assert_eq!(log.policy_labels(), vec!["P90".to_string()]);
         // records() holds only the replayed + live records, not the base.
         assert_eq!(log.records().len(), 2);

@@ -70,6 +70,26 @@ pub struct GrantEvent<'a> {
     pub policy_version: u64,
 }
 
+/// The WAL record of an admitted grant. `units` is
+/// `epsilon_to_units(guarantee ε × trials)`: the same f64 expression and
+/// ceiling conversion the accountant debited and the audit log
+/// accumulated.
+fn grant_ref(event: GrantEvent<'_>) -> GrantRef<'_> {
+    let total_epsilon = event.guarantee.epsilon() * event.trials as f64;
+    GrantRef {
+        index: event.index,
+        units: epsilon_to_units(total_epsilon),
+        epsilon: event.guarantee.epsilon(),
+        trials: event.trials as u64,
+        bins: event.bins as u64,
+        guarantee: tag_of(event.guarantee),
+        mechanism: event.mechanism,
+        policy: event.policy,
+        query: event.query,
+        policy_version: event.policy_version,
+    }
+}
+
 /// A session's handle on its tenant WAL shard: the hook the grant path
 /// calls **after** the accountant's CAS admits a debit and **before** any
 /// noise is sampled. Cloneable (shares the underlying single-writer
@@ -89,19 +109,15 @@ impl SessionWal {
     /// The labels are only lent to the ledger, which encodes and mirrors
     /// them without copying under every sync policy.
     pub fn log_grant(&self, event: GrantEvent<'_>) -> Result<()> {
-        let total_epsilon = event.guarantee.epsilon() * event.trials as f64;
-        self.ledger.append_grant(GrantRef {
-            index: event.index,
-            units: epsilon_to_units(total_epsilon),
-            epsilon: event.guarantee.epsilon(),
-            trials: event.trials as u64,
-            bins: event.bins as u64,
-            guarantee: tag_of(event.guarantee),
-            mechanism: event.mechanism,
-            policy: event.policy,
-            query: event.query,
-            policy_version: event.policy_version,
-        })
+        self.ledger.append_grant(grant_ref(event))
+    }
+
+    /// Queues one admitted grant without asking for durability
+    /// ([`TenantLedger::queue_grant`]). The grant path queues every debit
+    /// of a multi-debit grant but the last, whose
+    /// [`SessionWal::log_grant`] makes them all durable with one flush.
+    pub(crate) fn queue_grant(&self, event: GrantEvent<'_>) -> Result<()> {
+        self.ledger.queue_grant(grant_ref(event))
     }
 
     /// Logs a policy epoch transition so recovery can reconstruct the

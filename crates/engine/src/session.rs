@@ -22,8 +22,10 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
-/// The labelled policies a session's record-level releases have used, in
-/// first-use order.
+/// The labelled policies of a session's record-level releases: the
+/// builder's bound policy first, then each override policy in the order a
+/// release first used it. They live in memory only, so a recovered session
+/// starts again from its bound policy.
 type UsedPolicies<R> = Vec<(String, Arc<dyn Policy<R>>)>;
 
 /// One installed policy epoch: the policy object, its audit label, and the
@@ -649,8 +651,9 @@ pub struct OsdpSession<R = Record> {
     /// [`SessionBuilder::durable`]. Grants are logged after the
     /// accountant's CAS admits them and before sampling.
     wal: Option<SessionWal>,
-    /// Distinct (label, policy) pairs used by record-level releases, in first
-    /// use order — the components of the composed minimum relaxation. Reads
+    /// Distinct (label, policy) pairs of record-level releases, the bound
+    /// policy first and overrides in first-use order (see [`UsedPolicies`])
+    /// — the components of the composed minimum relaxation. Reads
     /// (the common case) share the lock; only a release under a *new*
     /// override policy writes.
     policies: RwLock<UsedPolicies<R>>,
@@ -715,8 +718,9 @@ impl<R> OsdpSession<R> {
     /// The composed guarantee of everything released so far (Theorem 3.3):
     /// total ε and the labels of the policies whose minimum relaxation the
     /// guarantee refers to. The labels come from the audit log — the ledger
-    /// of record — in first-use order ([`AuditLog::policy_labels`]), so a
-    /// recovered durable session lists its pre-crash policies too.
+    /// of record ([`AuditLog::policy_labels`]) — so a recovered durable
+    /// session lists its pre-crash policies too: those a snapshot collapsed
+    /// first, in snapshot order, then the rest in first-use order.
     pub fn composed_guarantee(&self) -> (f64, Vec<String>) {
         (self.accountant.total_spent(), self.audit.policy_labels())
     }
@@ -1002,7 +1006,11 @@ impl<R> OsdpSession<R> {
     ///    bump, so always resolvable; append its audit row (the thread's
     ///    own shard mutex, no `Arc` clone on a warm key); re-derive under
     ///    the stamped epoch when relabelled (shared through the
-    ///    version-keyed cache); then log the grant to the WAL. A WAL
+    ///    version-keyed cache); then queue its grant frame on the WAL.
+    ///    The last debit's frame asks for durability under the sync
+    ///    policy, so one flush (one write and one fsync under `Always`)
+    ///    makes every debit's frame durable before `grant` returns; a
+    ///    failed re-derive flushes the frames queued before it. A WAL
     ///    failure refuses the release with the ε still spent and audited —
     ///    a sample must never outrun its durable record.
     ///
@@ -1064,13 +1072,20 @@ impl<R> OsdpSession<R> {
             let policy = stamped.as_ref().map_or(label, |state| &state.label);
             let key = AuditKeyRef { mechanism, policy, query, bins, trials, guarantee };
             self.audit.push_row(index, version, key, key.units());
+            let is_last = at + 1 == debits.len();
             let input = match (&stamped, rederive) {
-                (Some(state), Some((derive, _))) => derive(Some(state))?,
-                _ if at + 1 == debits.len() => input.take().expect("taken by the last debit"),
+                (Some(state), Some((derive, _))) => derive(Some(state)).inspect_err(|_| {
+                    // The earlier debits' frames are only queued: flush
+                    // them, so the WAL keeps every grant it was given.
+                    if let (Some(wal), true) = (&self.wal, at > 0) {
+                        let _ = wal.sync();
+                    }
+                })?,
+                _ if is_last => input.take().expect("taken by the last debit"),
                 _ => input.clone().expect("taken by the last debit"),
             };
             if let Some(wal) = &self.wal {
-                wal.log_grant(GrantEvent {
+                let event = GrantEvent {
                     index,
                     mechanism,
                     policy,
@@ -1079,7 +1094,12 @@ impl<R> OsdpSession<R> {
                     trials,
                     guarantee,
                     policy_version: version,
-                })?;
+                };
+                if is_last {
+                    wal.log_grant(event)?;
+                } else {
+                    wal.queue_grant(event)?;
+                }
             }
             last = Some(granted(index, policy, input));
         }
@@ -1115,6 +1135,9 @@ impl<R> OsdpSession<R> {
     /// * **one atomic grant** — a single CAS on the accountant debits every
     ///   mechanism, all-or-nothing: if the remaining budget cannot cover the
     ///   entire pool batch, nothing is spent, logged or sampled;
+    /// * **one WAL flush** — on a durable session the pool's grant frames
+    ///   share one write and one fsync (under `Always`), made before any
+    ///   estimate is sampled;
     /// * one rayon fan-out over all `(mechanism, trial)` pairs, writing into
     ///   a preallocated arena.
     ///

@@ -42,17 +42,24 @@
 //! * An appender takes the short `log` lock, applies its record to the
 //!   snapshot mirror, encodes its frame onto a queue (one buffer reused
 //!   across appends) and takes a ticket, the frame's position in the log.
-//! * When its policy wants the frame durable now (`Always`, or `EveryN(n)`
-//!   once `n` frames are unsynced), it takes the `io` lock. If a flush made
-//!   while it waited already covered its ticket, it returns at once.
-//!   Otherwise it leads: it moves every queued frame into the writer and
-//!   makes one write and one fsync for all of them.
+//! * A frame may be queued without asking for durability
+//!   ([`TenantLedger::queue_grant`]). It then returns at once, and the next
+//!   flush writes it. A grant of k debits queues its first k − 1 frames and
+//!   appends the last one, so one flush makes all k durable.
+//! * When a frame asks for durability and its policy wants it durable now
+//!   (`Always`, or `EveryN(n)` once `n` frames are unsynced), the appender
+//!   takes the `io` lock. If a flush made while it waited already covered
+//!   its ticket, it returns at once. Otherwise it leads: it moves every
+//!   queued frame into the writer and makes one write and one fsync for
+//!   all of them.
 //!
 //! The leader holds `log` only to move the queue and, after the fsync, to
 //! take back the flushed buffer, so appenders keep queueing while its
-//! fsync is in flight, and the next leader makes them durable together. Concurrent `Always` appenders thus share fsyncs
-//! (group commit) without a committer thread, and a lone appender makes one
-//! write and one fsync per append. Rotation, [`TenantLedger::sync`] and
+//! fsync is in flight, and the next leader makes them durable together.
+//! Concurrent `Always` appenders thus share fsyncs (group commit) without
+//! a committer thread, and a lone appender makes one write and one fsync
+//! per durable append. Auto-rotation is checked only on a frame that asks
+//! for durability. Rotation, [`TenantLedger::sync`] and
 //! [`TenantLedger::crash`] take both locks and drain the queue first.
 
 use crate::record::{
@@ -632,21 +639,33 @@ impl TenantLedger {
     /// Takes a [`GrantRef`] or a `&GrantRecord`; the labels are only
     /// borrowed, so a warm append allocates nothing.
     pub fn append_grant<'a>(&self, grant: impl Into<GrantRef<'a>>) -> Result<()> {
-        self.append(RecordRef::Grant(grant.into()))
+        self.append(RecordRef::Grant(grant.into()), true)
+    }
+
+    /// Queues one grant record without asking for durability: its frame
+    /// becomes durable with the next flush, made by the next append that
+    /// asks for durability, [`TenantLedger::sync`], a rotation or a clean
+    /// drop. A caller that queues frames must follow them with one of
+    /// those before it treats them as durable.
+    pub fn queue_grant<'a>(&self, grant: impl Into<GrantRef<'a>>) -> Result<()> {
+        self.append(RecordRef::Grant(grant.into()), false)
     }
 
     /// Appends one refusal record, durable per the sync policy.
     pub fn append_refusal(&self, refusal: &RefusalRecord) -> Result<()> {
-        self.append(RecordRef::Refusal(refusal))
+        self.append(RecordRef::Refusal(refusal), true)
     }
 
     /// Appends one policy epoch transition, durable per the sync policy.
     pub fn append_epoch_transition(&self, transition: &EpochRecord) -> Result<()> {
-        self.append(RecordRef::Epoch(transition))
+        self.append(RecordRef::Epoch(transition), true)
     }
 
-    /// The one append path (see the module docs).
-    fn append(&self, record: RecordRef<'_>) -> Result<()> {
+    /// The one append path (see the module docs). `durable_now` says
+    /// whether this frame asks for durability under the sync policy; a
+    /// frame that does not is only queued, and auto-rotation waits for the
+    /// next frame that does.
+    fn append(&self, record: RecordRef<'_>, durable_now: bool) -> Result<()> {
         let (ticket, rotate) = {
             let mut log = self.lock_log()?;
             // A crashed or poisoned ledger refuses before anything is
@@ -662,12 +681,15 @@ impl TenantLedger {
             encode_frame_into(queue, scratch, record);
             log.frames_since_rotation += 1;
             let ticket = self.counters.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-            (ticket, self.auto_rotate_due(&log))
+            (ticket, durable_now && self.auto_rotate_due(&log))
         };
-        let flush = match self.sync {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => ticket.saturating_sub(self.durable()) >= u64::from(n.max(1)),
-        };
+        let flush = durable_now
+            && match self.sync {
+                SyncPolicy::Always => true,
+                SyncPolicy::EveryN(n) => {
+                    ticket.saturating_sub(self.durable()) >= u64::from(n.max(1))
+                }
+            };
         if !flush && !rotate {
             return Ok(());
         }
@@ -1435,6 +1457,31 @@ mod tests {
         let peek = TenantLedger::peek(&dir).unwrap();
         assert_eq!(peek.spent_units(), 400, "returned group appends are never lost");
         assert_eq!(peek.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn queued_grants_are_made_durable_by_the_next_durable_append() {
+        let dir = tmp_dir("queued");
+        let options = LedgerOptions { auto_snapshot_every: Some(2), ..LedgerOptions::default() };
+        let (ledger, _) = TenantLedger::open_with(&dir, SyncPolicy::Always, options).unwrap();
+        ledger.queue_grant(&grant(0, 100)).unwrap();
+        ledger.queue_grant(&grant(1, 100)).unwrap();
+        // Past the auto-snapshot threshold, yet nothing is written or
+        // rotated until a frame asks for durability.
+        let peek = TenantLedger::peek(&dir).unwrap();
+        assert_eq!((peek.grants.len(), peek.base.generation), (0, 0));
+        ledger.append_grant(&grant(2, 100)).unwrap();
+        let stats = ledger.group_commit_stats();
+        assert_eq!((stats.batches, stats.largest_batch, stats.durable_frames), (1, 3, 3));
+        let peek = TenantLedger::peek(&dir).unwrap();
+        assert_eq!((peek.spent_units(), peek.base.generation), (300, 1), "then rotated once");
+        // A crash loses a queued frame no durable append followed.
+        ledger.queue_grant(&grant(3, 100)).unwrap();
+        ledger.crash(0.0).unwrap();
+        drop(ledger);
+        force_unlock(&dir).unwrap();
+        assert_eq!(TenantLedger::peek(&dir).unwrap().spent_units(), 300);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

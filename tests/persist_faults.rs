@@ -719,6 +719,103 @@ fn a_durable_pool_request_pins_its_wal_bytes_and_recovers_every_grant() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The mechanisms of a three-mechanism pool request at ε = 1/8 each.
+fn pool_of_three() -> (OsdpLaplaceL1, DpLaplaceHistogram, Dawaz) {
+    (
+        OsdpLaplaceL1::new(0.125).unwrap(),
+        DpLaplaceHistogram::new(0.125).unwrap(),
+        Dawaz::new(0.125).unwrap(),
+    )
+}
+
+/// A grant is one WAL flush, whatever its number of debits: on a durable
+/// `Always` tenant a pool request of three mechanisms makes exactly one
+/// `wal.log` fsync, and so does each single release.
+#[test]
+fn a_durable_pool_request_makes_one_wal_fsync() {
+    let root = temp_root("pool-fsync");
+    let (session, hooks) = hooked_session(&root, 27);
+    let (osdp, laplace, dawaz) = pool_of_three();
+    let pool: [&dyn HistogramMechanism; 3] = [&osdp, &laplace, &dawaz];
+    let wal = session.persistence().unwrap();
+    let syncs = || hooks.syncs.load(Ordering::SeqCst);
+    let at_open = syncs();
+
+    session.release_pool(&SessionQuery::bound(), &pool, 1).unwrap();
+    assert_eq!(syncs() - at_open, 1, "one fsync for the pool's three frames");
+    let stats = wal.group_commit_stats();
+    assert_eq!((stats.batches, stats.largest_batch, stats.durable_frames), (1, 3, 3));
+
+    for release in 1..=2 {
+        session.release(&SessionQuery::bound(), &osdp).unwrap();
+        assert_eq!(syncs() - at_open, 1 + release, "one fsync per single release");
+    }
+    session.release_trials(&SessionQuery::bound(), &osdp, 2).unwrap();
+    assert_eq!(syncs() - at_open, 4, "one fsync for a trials batch");
+    let stats = wal.group_commit_stats();
+    assert_eq!((stats.batches, stats.durable_frames, stats.submitted_frames), (4, 6, 6));
+    drop(session);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The one flush of a pool request fails its fsync. The pool is refused
+/// and samples nothing, its ε stays spent and audited, the ledger fails
+/// closed without ever re-fsyncing, and recovery reports at most the
+/// grants that were appended.
+#[test]
+fn a_failed_pool_flush_refuses_the_pool_and_closes_the_ledger() {
+    let root = temp_root("pool-fsync-fail");
+    // Fsync #0 on wal.log is the open-time rewrite, #1 the single
+    // release's and #2 the pool request's one flush.
+    let plan = FaultPlan::new().fail_nth(PersistOp::Fsync, "wal.log", 2, FaultKind::FsyncFail);
+    let vfs = FaultVfs::new(plan);
+    let persistence = SessionPersistence::open_with_vfs(
+        root.clone(),
+        SyncPolicy::Always,
+        fast_retry(),
+        Arc::<FaultVfs>::clone(&vfs),
+    )
+    .unwrap();
+    let session = builder(27).durable(persistence).build().unwrap();
+    let (osdp, laplace, dawaz) = pool_of_three();
+    let pool: [&dyn HistogramMechanism; 3] = [&osdp, &laplace, &dawaz];
+    let per_grant = osdp::core::budget::epsilon_to_units(0.125);
+
+    session.release(&SessionQuery::bound(), &osdp).unwrap();
+    let err = session.release_pool(&SessionQuery::bound(), &pool, 1).unwrap_err();
+    let p = typed(&err);
+    assert_eq!((p.op, p.class), (PersistOp::Fsync, FaultClass::Permanent));
+    assert_eq!(vfs.injected_faults(), 1);
+    // Fail closed: the pool's three debits stay spent and audited.
+    assert_eq!(session.accountant().total_spent_units(), 4 * per_grant);
+    assert_eq!(session.audit_total_epsilon_units(), 4 * per_grant);
+
+    // The ledger is closed: a later release is refused after its debit,
+    // and neither it nor a sync touches the descriptor again.
+    assert!(matches!(
+        session.release(&SessionQuery::bound(), &osdp).unwrap_err(),
+        OsdpError::Persist(_)
+    ));
+    assert!(session.persistence().unwrap().sync().is_err());
+    assert_eq!(vfs.injected_faults(), 1, "the poisoned handle was never re-fsynced");
+    assert_eq!(session.accountant().total_spent_units(), session.audit_total_epsilon_units());
+    drop(session);
+
+    // The acknowledged release survives; of the rest, at most the pool's
+    // three appended frames come back, as a prefix.
+    let _ = force_unlock(&root);
+    let peek = TenantLedger::peek(&root).unwrap();
+    let replayed: Vec<u64> = peek.grants.iter().map(|g| g.index).collect();
+    assert!(replayed.len() == 1 || replayed.len() == 4, "replayed {replayed:?}");
+    assert_eq!(replayed, (0..replayed.len() as u64).collect::<Vec<_>>(), "prefix-closed");
+    let reopened = SessionPersistence::open(&root, SyncPolicy::Always).unwrap();
+    let recovered = builder(1).durable(reopened).build().unwrap();
+    assert_eq!(recovered.accountant().total_spent_units(), peek.spent_units());
+    assert_eq!(recovered.audit_total_epsilon_units(), peek.spent_units());
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// What a recovered shard says about its durable history: spent units,
 /// grant count, the replayed grant indices, refusals and transition
 /// versions. Everything but the torn bytes a repair removes.
