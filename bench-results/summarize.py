@@ -97,6 +97,12 @@ ENTRIES = [
         "dir": "one-ledger-verifier",
         "claimed": {},
     },
+    {
+        "entry": 24,
+        "change": "A grant of k debits is one WAL flush: a pool request's frames share one write and one fsync",
+        "dir": "one-flush-per-grant",
+        "claimed": {"serve-mix": ["req_p99_us"]},
+    },
 ]
 
 
